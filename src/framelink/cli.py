@@ -22,11 +22,11 @@ verification failure or difference, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -83,9 +83,18 @@ def cache_get(path: str, key: dict):
 
 
 def cache_put(path: str, key: dict, value: dict) -> None:
+    """Append one record under an exclusive lock.  A torn last line (a crash
+    mid-write) is ended first, so it cannot swallow this record."""
+    line = json.dumps({"key": key, "value": value}, sort_keys=True) + "\n"
     try:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"key": key, "value": value}, sort_keys=True) + "\n")
+        with open(path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes, after the flush
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line
+            fh.write(line.encode("utf-8"))
     except OSError as exc:
         print(f"cache write failed: {exc}", file=sys.stderr)
 
@@ -248,16 +257,13 @@ def _run_batch(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
 
-    def one(line: str) -> dict:
+    for line in lines:
         b = parse_braid(line)
-        return dict(_cached_eval(
+        record = dict(_cached_eval(
             args.cache, "invariant", args.family, args.d, D, b.render(),
             lambda: invariant(InvariantRequest(b, args.family, args.d, D))),
             braid=b.render())
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(lines)))) as pool:
-        for record in pool.map(one, lines):
-            print(json.dumps(record, sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
     return 0
 
 

@@ -53,7 +53,14 @@ class FourierData:
     support: tuple[int, ...]
 
 
+def check_modulus(d: int) -> None:
+    """Z/dZ needs d >= 1."""
+    if d < 1:
+        raise ValueError(f"modulus d must be >= 1, got {d}")
+
+
 def build_solution(d: int, D) -> ESolution:
+    check_modulus(d)
     subset = tuple(sorted(k % d for k in D))
     if not subset:
         raise ValueError("subset must be non-empty")
@@ -91,6 +98,7 @@ def esystem_residual(x: Sequence):
 
 def enumerate_solutions(d: int) -> list[ESolution]:
     """All 2^d - 1 subset solutions, deduplicated by x-vector."""
+    check_modulus(d)
     out: list[ESolution] = []
     for size in range(1, d + 1):
         for subset in combinations(range(d), size):

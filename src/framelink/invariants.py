@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import map_to_algebra
 from .braids import BraidWord, framing, sigma, tau
-from .esystem import build_solution
+from .esystem import build_solution, check_modulus
 from .scalars import HalfPowerValue, RatFunc, U, Z
 from .trace import Tracer, specialized_params
 
@@ -114,6 +114,7 @@ def jones(b: BraidWord) -> InvariantValue:
 
 
 def framed_jones(b: BraidWord, d: int, D) -> InvariantValue:
+    check_modulus(d)
     subset = tuple(sorted(set(k % d for k in D)))
     zval = RatFunc.const(-1) / ((U + 1) * RatFunc.const(len(subset)))
     return invariant(InvariantRequest(b, "framed", d, subset, zval=zval))

@@ -13,8 +13,12 @@ Four layers, none of which ever touches floating point:
   so output is deterministic.
 * ``RatFunc`` -- quotients of polynomials.  Equality is decided by
   cross-multiplication, so correctness never depends on cancellation; light
-  normalization (monomial/content cancellation, exact division when it
-  succeeds, univariate gcd) keeps representations small.
+  normalization keeps representations small.  A common monomial factor is
+  cancelled and a constant denominator folded in.  A monomial denominator
+  (the usual u^k z^j) is then in lowest terms and is only scaled to leading
+  coefficient 1; a longer one gets exact division when it succeeds, else a
+  univariate gcd.  Substitution builds one numerator and one denominator
+  from the powers of each value and normalizes once.
 * ``HalfPowerValue`` -- r * L^(h/2) for a fixed rational function L and
   h in {0, 1}; integer powers of L are always folded into r.
 
@@ -725,15 +729,15 @@ class RatFunc:
 
     def substitute(self, mapping: Mapping[str, "RatFunc"]) -> "RatFunc":
         """Simultaneously substitute rational functions for variables."""
-        relevant = {v: _as_ratfunc(val) for v, val in mapping.items()
-                    if v in self.variables()}
+        own = self.variables()
+        relevant = {v: _as_ratfunc(val) for v, val in mapping.items() if v in own}
         if not relevant:
             return self
-        num = _poly_substitute(self.num, relevant)
-        den = _poly_substitute(self.den, relevant)
+        num, num_den = _poly_substitute(self.num, relevant)
+        den, den_den = _poly_substitute(self.den, relevant)
         if den.is_zero():
             raise ZeroDivisionError("substitution makes the denominator identically zero")
-        return num / den
+        return RatFunc(num * den_den, num_den * den)
 
     # -- identity -----------------------------------------------------------
 
@@ -777,18 +781,20 @@ def _ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         if not (k == _CYC_ONE):
             num = num * k.inverse()
         return num, _POLY_ONE
-    # exact division when it succeeds
-    q = num.exact_div(den)
-    if q is not None:
-        return q, _POLY_ONE
-    # univariate gcd when both sides live in one variable
-    vs = num.variables() | den.variables()
-    if len(vs) == 1:
-        var = next(iter(vs))
-        g = _uni_poly_gcd(num, den, var)
-        if g.degree_in(var) > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+    # a monomial denominator is now in lowest terms: every variable it holds
+    # is missing from some term of num.  Otherwise try exact division, then a
+    # univariate gcd when both sides live in one variable.
+    if len(den.terms) > 1:
+        q = num.exact_div(den)
+        if q is not None:
+            return q, _POLY_ONE
+        vs = num.variables() | den.variables()
+        if len(vs) == 1:
+            var = next(iter(vs))
+            g = _uni_poly_gcd(num, den, var)
+            if g.degree_in(var) > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
     # normalize the leading denominator coefficient to 1
     _, lead = den.leading()
     if not (lead == _CYC_ONE):
@@ -797,23 +803,42 @@ def _ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
-def _poly_substitute(p: Poly, mapping: Mapping[str, "RatFunc"]) -> "RatFunc":
-    result = RATFUNC_ZERO
-    pending = [v for v in mapping if p.degree_in(v) > 0]
-    if not pending:
-        return RatFunc(p)
-    var = pending[0]
-    rest = {v: r for v, r in mapping.items() if v != var}
-    val = mapping[var]
-    parts = p.split_by(var)
-    top = max(parts)
-    num_acc = RATFUNC_ZERO
-    vp, vq = RatFunc(val.num), RatFunc(val.den)
-    for k, coeff in parts.items():
-        term = _poly_substitute(coeff, rest) if rest else RatFunc(coeff)
-        num_acc = num_acc + term * vp ** k * vq ** (top - k)
-    result = num_acc / vq ** top
-    return result
+def _poly_substitute(p: Poly, mapping: Mapping[str, "RatFunc"]) -> tuple[Poly, Poly]:
+    """p with the values substituted, as an unnormalized (numerator, denominator).
+
+    A variable v of degree top in p puts den_v^top into the denominator, and
+    a term holding v^e gets num_v^e * den_v^(top-e).  The powers of each value
+    are built once; terms that agree in the substituted exponents are summed
+    before they are multiplied out.
+    """
+    tops = {v: t for v in mapping if (t := p.degree_in(v))}
+    if not tops:
+        return p, _POLY_ONE
+    factors: dict[str, list[Poly]] = {}
+    den = _POLY_ONE
+    for v, top in tops.items():
+        val = mapping[v]
+        nums, dens = [_POLY_ONE], [_POLY_ONE]
+        for _ in range(top):
+            nums.append(nums[-1] * val.num)
+            dens.append(dens[-1] * val.den)
+        factors[v] = [nums[e] * dens[top - e] for e in range(top + 1)]
+        den = den * dens[top]
+    groups: dict[tuple[int, ...], dict[Mono, Cyclotomic]] = {}
+    for mono, c in p.terms.items():
+        exps = dict(mono)
+        key = tuple(exps.get(v, 0) for v in tops)
+        rest = tuple((v, e) for v, e in mono if v not in tops)
+        groups.setdefault(key, {})[rest] = c
+    out: dict[Mono, Cyclotomic] = {}
+    for key, rest in groups.items():
+        factor = _POLY_ONE
+        for v, e in zip(tops, key):
+            factor = factor * factors[v][e]
+        for m, c in (Poly(rest) * factor).terms.items():
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+    return Poly(out), den
 
 
 def _as_ratfunc(x) -> "RatFunc":

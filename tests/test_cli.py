@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, exit codes, caching, determinism."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -121,6 +123,43 @@ def test_cache_roundtrip(tmp_path):
     assert cache_get(path, bumped) is None
 
 
+def test_cache_put_ends_a_torn_line(tmp_path):
+    # a crash mid-write leaves a last line without its newline
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"key": {"command": "jon')
+    key = _cache_key("jones", "classical", 1, (0,), "s1")
+    cache_put(str(path), key, {"value": "v"})
+    assert cache_get(str(path), key) == {"value": "v"}
+    assert path.read_text().splitlines()[0] == '{"key": {"command": "jon'
+
+
+def test_cache_concurrent_writers(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    keys = [[_cache_key("jones", "classical", 1, (0,), f"w{w} {i}")
+             for i in range(40)] for w in range(6)]
+
+    def writer(mine):
+        for key in mine:
+            cache_put(path, key, {"value": key["braid"]})
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(mine,)) for mine in keys]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 240
+    assert {json.loads(line)["value"]["value"] for line in lines} == {
+        key["braid"] for mine in keys for key in mine}
+
+
 def test_cache_hit_renders_identically(tmp_path, capsys):
     path = str(tmp_path / "cache.jsonl")
     argv = ("homflypt", "--braid", "s1 s1 s1", "--cache", path)
@@ -152,6 +191,14 @@ def test_usage_errors(capsys):
     # singular letters are not classical links
     code, _, err = run(capsys, "homflypt", "--braid", "x1")
     assert code == 2
+    # the modulus d must be >= 1: one line on stderr, no traceback
+    code, _, err = run(capsys, "invariant", "--family", "framed",
+                       "--d", "0", "--braid", "s1")
+    assert code == 2 and len(err.splitlines()) == 1 and "d must be >= 1" in err
+    code, out, err = run(capsys, "esystem", "--d", "0")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    code, _, err = run(capsys, "framed-jones", "--d", "0", "--braid", "s1")
+    assert code == 2 and len(err.splitlines()) == 1
 
 
 def test_missing_argument_exits_2():

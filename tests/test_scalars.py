@@ -18,6 +18,7 @@ from framelink.scalars import (
     U,
     Z,
 )
+from framelink.invariants import lambda_d
 
 
 def _poly_from_coeffs(coeffs):
@@ -154,6 +155,48 @@ def test_substitution_rational_function_value():
     val = U / (U + 1)
     expected = (U ** 2 / (U + 1) ** 2 + U) * (U + 1) / U
     assert f.substitute({"z": val}) == expected
+
+
+def test_renders_pinned():
+    # monomial denominators skip the gcd; these are the renders it gave
+    assert (U ** -1 - 1).render() == "(-u + 1)/u"
+    assert lambda_d(2, 1).render() == "(-u + z + 1)/(u*z)"
+    assert ((U * Z + 1) / (3 * U * U * Z)).render() == "(1/3*u*z + 1/3)/(u^2*z)"
+    zval = RatFunc.const(-1) / (2 * (U + 1))
+    assert lambda_d(3, 2).substitute({"z": zval}).render() == "u"
+
+
+def _random_laurent(rng):
+    """A few terms c * u^a * z^b * x1^c with exponents in [-2, 2], sometimes
+    over u + 2 so that the gcd path runs too."""
+    f = RatFunc.const(0)
+    for _ in range(rng.randint(1, 4)):
+        term = RatFunc.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for v in (U, Z, x_var(1)):
+            term = term * v ** rng.randint(-2, 2)
+        f = f + term
+    if rng.random() < 0.3:
+        f = f / (U + 2)
+    return f
+
+
+def test_substitution_is_a_ring_map():
+    rng = random.Random(2024)
+    zeta3 = RatFunc.const(Cyclotomic.root_of_unity(3))
+    z_values = [RatFunc.const(-1) / (2 * (U + 1)), U / (U + 2),
+                RatFunc.const(Fraction(3, 5)), U ** -1 - 1, zeta3 * U]
+    x_values = [U ** -1 - 1, zeta3, RatFunc.const(1) / (U + 3),
+                RatFunc.const(-2)]
+    for _ in range(30):
+        f, g = _random_laurent(rng), _random_laurent(rng)
+        m = {"z": rng.choice(z_values), "x1": rng.choice(x_values)}
+        fm, gm = f.substitute(m), g.substitute(m)
+        assert (f * g).substitute(m) == fm * gm
+        assert (f + g).substitute(m) == fm + gm
+        # the values hold no z or x1, so one at a time gives the same
+        zs, xs = {"z": m["z"]}, {"x1": m["x1"]}
+        assert f.substitute(zs).substitute(xs) == fm
+        assert f.substitute(xs).substitute(zs) == fm
 
 
 def test_negative_powers():
