@@ -25,6 +25,12 @@ from .trace import Tracer, specialized_params
 
 FAMILIES = ("framed", "classical", "singular")
 
+# The trace strips one strand per recursion level, and one crossing on n
+# strands costs about n^3.7 at d = 1: 64 strands take ~0.8 s, 100 ~10 s and
+# 200 ~2 min (2 vCPU, Python 3.11).  A braid on more strands is refused
+# rather than left to exhaust the stack or run for minutes.
+MAX_STRANDS = 64
+
 _ALLOWED_KINDS = {
     "framed": ("classical", "framed"),
     "classical": ("classical",),
@@ -57,6 +63,9 @@ class InvariantRequest:
         if self.braid.kind not in _ALLOWED_KINDS[self.family]:
             raise ValueError(
                 f"a {self.braid.kind} word does not define a {self.family} link")
+        if self.braid.n > MAX_STRANDS:
+            raise ValueError(f"a braid on {self.braid.n} strands exceeds the "
+                             f"budget of {MAX_STRANDS} strands")
 
 
 @dataclass(frozen=True, eq=False)

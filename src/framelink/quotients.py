@@ -21,10 +21,22 @@ each verified rather than assumed:
   substitution because substitution is a ring map on trace values;
 * with that, tr(a gen b) = tr(gen (b a)), and b a expands over the basis,
   so vanishing on all pairs is equivalent to tr(gen c) = 0 for every basis
-  word c.  A failing word c yields the witness pair (1, c).
+  word c.  A failing word c yields the witness pair (1, c);
+* only a basis of those generic values is substituted.  Each generic value
+  tr(gen c) is a vector over Q(zeta_d)(u), one coordinate per monomial in z
+  and x_1..x_{d-1}, and substituting z and x fixes Q(zeta_d)(u), so it is
+  linear: every value vanishes exactly when the values of a spanning set
+  do.  When the generic values are built, the words are taken once in
+  split-basis order, and a word is kept when its value is not in the span
+  of the values kept before it.  The first word of the full scan whose value does
+  not vanish is always kept, because every value before it vanishes and so
+  does everything in their span; the kept words therefore give the same
+  verdict and the same witness as all d^3 3! words.  At n = 3 that keeps 1
+  word at d = 1, 4 / 2 / 1 of 48 (YTL / FTL / CTL) at d = 2 and 10 / 3 of
+  162 (YTL / FTL) at d = 3.
 
 deep=True runs the literal double loop instead (practical for d <= 2) and
-is used by the test suite to validate the reduction.
+is used by the test suite to validate the reductions.
 """
 from __future__ import annotations
 
@@ -41,7 +53,7 @@ from .algebra import (
     split_basis,
 )
 from .esystem import enumerate_solutions, fourier_transform
-from .scalars import RatFunc, RATFUNC_ZERO, U
+from .scalars import Poly, RatFunc, RATFUNC_ZERO, U
 from .trace import TraceParams, Tracer
 
 KINDS = ("ytl", "ftl", "ctl")
@@ -98,14 +110,32 @@ def _conjugation_certificate(d: int, n: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _generic_scan(kind: str, d: int, n: int) -> tuple:
-    """tr(gen . c) in generic mode for every basis word c, as ((word, value), ...)."""
+    """The kept words of the generic scan, as ((word, tr(gen . word)), ...).
+
+    Words come in split-basis order; a word is kept when its generic value is
+    not in the span, over Q(zeta_d)(u), of the values of the words kept
+    before it.
+    """
     gen = quotient_generator(kind, d, n, 1)
     tracer = Tracer(TraceParams(d))
+    span = _Echelon()
     out = []
     for frm, perm in split_basis(d, n):
-        c = AlgebraElement.from_word(d, n, frm, perm)
-        out.append(((frm, perm), tracer.trace(gen * c)))
+        value = tracer.trace(gen * AlgebraElement.from_word(d, n, frm, perm))
+        if span.insert(_coordinates(value)) is not None:
+            out.append(((frm, perm), value))
     return tuple(out)
+
+
+def _coordinates(value: RatFunc) -> dict:
+    """value as a vector over Q(zeta_d)(u): (z, x)-monomial -> coefficient."""
+    if value.den.variables() - {"u"}:
+        raise AssertionError("a generic trace value has z or x in its denominator")
+    parts: dict = {}
+    for mono, c in value.num.terms.items():
+        rest = tuple(t for t in mono if t[0] != "u")
+        parts.setdefault(rest, {})[tuple(t for t in mono if t[0] == "u")] = c
+    return {rest: RatFunc(Poly(terms), value.den) for rest, terms in parts.items()}
 
 
 def _scan(check: QuotientCheck):
@@ -219,7 +249,44 @@ def admissible(check: QuotientCheck) -> bool:
             "ctl": _ctl_admissible}[check.kind](check)
 
 
-# -- ideal inclusion by exact elimination ------------------------------------
+# -- exact elimination ---------------------------------------------------------
+
+
+class _Echelon:
+    """Rows in echelon form over the coefficient field, u formal.
+
+    Vectors are sparse dicts column -> RatFunc with comparable columns.  Each
+    row is stored under its pivot column, where it is 1, and has no earlier
+    column, so one sweep in column order reduces a vector: eliminating a
+    column only brings in later ones.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def reduce(self, vec: dict) -> dict:
+        """vec minus a combination of the rows that leaves no pivot column; in place."""
+        while True:
+            col = min((c for c in vec if c in self.rows), default=None)
+            if col is None:
+                return vec
+            factor = vec[col]
+            for c2, v2 in self.rows[col].items():
+                nxt = vec.get(c2, RATFUNC_ZERO) - factor * v2
+                if nxt.is_zero():
+                    vec.pop(c2, None)
+                else:
+                    vec[c2] = nxt
+
+    def insert(self, vec: dict):
+        """Add vec as a row unless it is in the span; returns the new pivot or None."""
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        col = min(vec)
+        inv = vec[col] ** -1
+        self.rows[col] = {c: inv * v for c, v in vec.items()}
+        return col
 
 
 def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int,
@@ -239,39 +306,15 @@ def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int,
     def vector(e: AlgebraElement) -> dict[int, RatFunc]:
         return {index[w]: c for w, c in e.terms.items() if not c.is_zero()}
 
-    pivots: dict[int, dict[int, RatFunc]] = {}
-
-    def reduce(vec: dict[int, RatFunc]) -> dict[int, RatFunc]:
-        # pivot rows start at their pivot column, so one monotone sweep
-        # suffices: eliminating a column only introduces later columns
-        done = -1
-        while True:
-            col = min((c for c in vec if c > done and c in pivots), default=None)
-            if col is None:
-                return vec
-            factor = vec[col]
-            for c2, v2 in pivots[col].items():
-                nxt = vec.get(c2, RATFUNC_ZERO) - factor * v2
-                if nxt.is_zero():
-                    vec.pop(c2, None)
-                else:
-                    vec[c2] = nxt
-            done = col
-
-    target = reduce(vector(genA))
+    span = _Echelon()
+    target = span.reduce(vector(genA))
     if not target:
         return True
 
     def insert(vec: dict[int, RatFunc]) -> bool:
         nonlocal target
-        vec = reduce(vec)
-        if not vec:
-            return False
-        col = min(vec)
-        inv = vec[col] ** -1
-        pivots[col] = {c: inv * v for c, v in vec.items()}
-        if col in target:
-            target = reduce(target)
+        if span.insert(vec) in target:
+            target = span.reduce(target)
         return not target
 
     lefts = [a * genB for a in elems]

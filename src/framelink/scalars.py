@@ -136,7 +136,7 @@ class Cyclotomic:
     __slots__ = ("m", "c")
 
     def __init__(self, m: int, coeffs: Iterable[Fraction]):
-        coeffs = tuple(Fraction(x) for x in coeffs)
+        coeffs = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
         deg = len(cyclotomic_polynomial(m)) - 1
         if len(coeffs) != deg:
             raise ValueError(f"conductor {m} needs {deg} coefficients, got {len(coeffs)}")

@@ -168,7 +168,8 @@ def test_cache_hit_renders_identically(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     # the second run was a hit: no second record was appended
-    assert sum(1 for _ in open(path)) == 1
+    with open(path) as fh:
+        assert sum(1 for _ in fh) == 1
 
 
 def test_cache_write_failure_is_not_fatal(tmp_path, capsys):
@@ -199,6 +200,11 @@ def test_usage_errors(capsys):
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     code, _, err = run(capsys, "framed-jones", "--d", "0", "--braid", "s1")
     assert code == 2 and len(err.splitlines()) == 1
+    # oversized braids are refused by the strand budget, not the stack
+    for braid in ("s1500", "n=3000 s1"):
+        code, out, err = run(capsys, "homflypt", "--braid", braid)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "budget" in err
 
 
 def test_missing_argument_exits_2():

@@ -1,14 +1,16 @@
 """Quotient trace-passing: closed forms against the ideal-vanishing scan,
 and the inclusion chain of the three defining ideals."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from framelink.algebra import AlgebraElement, quotient_generator
-from framelink.esystem import enumerate_solutions
+from framelink.algebra import AlgebraElement, quotient_generator, split_basis
+from framelink.esystem import enumerate_solutions, inverse_fourier
 from framelink.quotients import (
     QuotientCheck,
+    _generic_scan,
     _scan,
     admissible,
     ideal_inclusion,
@@ -16,6 +18,7 @@ from framelink.quotients import (
     trace_vanishes_on_ideal,
 )
 from framelink.scalars import RatFunc, U
+from framelink.trace import TraceParams, Tracer
 
 Z_TL = -(U + 1) ** -1
 HALF = Fraction(1, 2)
@@ -228,6 +231,89 @@ def test_witness_pair_is_genuine():
     a = AlgebraElement.from_word(2, 3, frm_a, perm_a)
     b = AlgebraElement.from_word(2, 3, frm_b, perm_b)
     assert not tracer.trace(a * gen * b).is_zero()
+
+
+# -- the scan substitutes only a basis of the generic values -----------------
+
+
+def test_scan_keeps_a_basis():
+    sizes = {(kind, d): len(_generic_scan(kind, d, 3))
+             for d, kinds in ((1, ("ytl", "ftl", "ctl")), (2, ("ytl", "ftl", "ctl")),
+                              (3, ("ytl", "ftl")))
+             for kind in kinds}
+    assert sizes == {("ytl", 1): 1, ("ftl", 1): 1, ("ctl", 1): 1,
+                     ("ytl", 2): 4, ("ftl", 2): 2, ("ctl", 2): 1,
+                     ("ytl", 3): 10, ("ftl", 3): 3}
+
+
+def _literal_scan(check):
+    """((a, b, value) or None) from tr(gen . c) over every split-basis word c
+    in order, traced under the check's own parameters."""
+    gen = quotient_generator(check.kind, check.d, check.n, 1)
+    tracer = Tracer(TraceParams(check.d, check.xs), z=check.zval)
+    unit_word = ((0,) * check.n, tuple(range(1, check.n + 1)))
+    for frm, perm in split_basis(check.d, check.n):
+        val = tracer.trace(gen * AlgebraElement.from_word(check.d, check.n, frm, perm))
+        if not val.is_zero():
+            return unit_word, (frm, perm), val
+    return None
+
+
+def _block_point(rng, d):
+    """FTL-conforming z and x from a block assignment of the Fourier
+    transform: each y_k is 0, -dz or -dz(u+1), so x is rational in u."""
+    assign = [rng.randrange(3) for _ in range(d)]
+    if not any(assign):
+        assign[rng.randrange(d)] = rng.randint(1, 2)
+    z = RatFunc.const(-1) / (assign.count(1) + (U + 1) * assign.count(2))
+    y = [-d * z * ((U + 1) if a == 2 else 1) if a else 0 for a in assign]
+    return z, inverse_fourier(y)[1:]
+
+
+def _seeded_points(rng, kind, d):
+    """Conforming and non-conforming checks of kind at d."""
+    sols = enumerate_solutions(d)
+    sol = rng.choice([s for s in sols if s.size() <= 2] if kind == "ytl" else sols)
+    m, xs = sol.size(), tuple(sol.x[1:])
+    if kind == "ytl":
+        zs = (-HALF,) if m == 2 else (-1, Z_TL)
+    elif kind == "ctl" and 0 not in sol.D:
+        zs = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),)
+    else:
+        zs = (Fraction(-1, m), -((U + 1) * m) ** -1)
+    # the literal scan at d = 3 with z rational in u takes ~25 s
+    yield QuotientCheck(kind, d, rng.choice(zs[:1] if d == 3 else zs), xs)
+    if kind == "ftl" and d < 3:
+        yield QuotientCheck(kind, d, *_block_point(rng, d))
+    # a positive z never takes a passing value
+    sol = rng.choice([s for s in sols if 0 in s.D] if kind == "ctl" else sols)
+    yield QuotientCheck(kind, d, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                        tuple(sol.x[1:]))
+    if kind == "ytl" and d > 1:
+        yield QuotientCheck(kind, d, -1, tuple(rng.randint(2, 5) for _ in range(d - 1)))
+
+
+@pytest.mark.parametrize("d,kinds", [
+    (1, ("ytl", "ftl", "ctl")),
+    (2, ("ytl", "ftl", "ctl")),
+    (3, ("ytl", "ftl")),
+], ids=["d1", "d2", "d3"])
+def test_basis_scan_matches_the_literal_scan(d, kinds):
+    # the reduced scan gives the verdict and the witness of the unreduced one;
+    # deep=True also checks each verdict except a passing one at d = 2, which
+    # takes 15 s or more there (test_deep_loop_agrees runs one)
+    rng = random.Random(3100 + d)
+    for kind in kinds:
+        verdicts = set()
+        for check in _seeded_points(rng, kind, d):
+            verdict, witness = _scan(check)
+            assert witness == _literal_scan(check)
+            assert verdict is (witness is None)
+            assert admissible(check) is verdict
+            if d == 1 or (d == 2 and not verdict):
+                assert trace_vanishes_on_ideal(check, deep=True) is verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 # -- reports -----------------------------------------------------------------
