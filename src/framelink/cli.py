@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import json
 import os
 import random
@@ -125,12 +126,14 @@ def _add_braid_opts(sub, braid_flags=("--braid",)):
     for flag in braid_flags:
         sub.add_argument(flag, required=True,
                          help='braid word, e.g. "s1 s1 s1" or "t2^3 -s1 x2"')
-    sub.add_argument("--cache", default=os.environ.get(CACHE_ENV),
-                     help=f"JSON-lines cache path (default ${CACHE_ENV})")
+    sub.add_argument("--cache", help=f"JSON-lines cache path (default ${CACHE_ENV})")
     sub.add_argument("--json", action="store_true", help="emit the JSON record")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared.  It holds no
+    environment values: main() reads FRAMELINK_CACHE on every call."""
     ap = argparse.ArgumentParser(
         prog="framelink",
         description="Exact link invariants from the Yokonuma-Hecke algebra.")
@@ -179,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES, default="classical")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--subset", default="0")
-    p.add_argument("--cache", default=os.environ.get(CACHE_ENV))
+    p.add_argument("--cache", help=f"JSON-lines cache path (default ${CACHE_ENV})")
 
     return ap
 
@@ -390,6 +393,10 @@ def _verify_quotients(args) -> list[str]:
 
 
 def _run_verify(args) -> int:
+    for flag, value, least in (("--d", args.d, 1), ("--n", args.n, 2),
+                               ("--samples", args.samples, 1)):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     suite = {"relations": _verify_relations, "skein": _verify_skein,
              "markov": _verify_markov, "quotients": _verify_quotients}[args.what]
     failures = suite(args)
@@ -407,6 +414,8 @@ def _run_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "cache") and args.cache is None:
+        args.cache = os.environ.get(CACHE_ENV)
     runner = {
         "esystem": _run_esystem,
         "invariant": _run_invariant,

@@ -37,6 +37,11 @@ each verified rather than assumed:
 
 deep=True runs the literal double loop instead (practical for d <= 2) and
 is used by the test suite to validate the reductions.
+
+ideal_inclusion decides the chain of the three defining ideals without the
+pair loop either: it closes the span of one generator under multiplication
+by the algebra generators on both sides, which gives its whole two-sided
+ideal because words in those generators span Y_{d,n}(u).
 """
 from __future__ import annotations
 
@@ -291,38 +296,36 @@ class _Echelon:
 
 def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int,
                     n: int = 3) -> bool:
-    """Is genA in the linear span of {a genB b : a, b split-basis words}?
+    """Is genA in the two-sided ideal span{a genB b : a, b split-basis words}?
 
-    Decided by incremental Gaussian elimination over the coefficient field
-    with u formal; rows are fed left multiples first and the reduction of
-    genA is retried after every rank increase, so membership exits early.
+    Built by closure: from genB on, each element that adds rank to an echelon
+    over the coefficient field (u formal) is queued, and w r and r w are
+    inserted for each queued r and each generator w among g_1..g_{n-1},
+    t_1..t_n (the t_j only when d > 1).  The span is then closed under
+    multiplication on both sides by the generators, hence by their words,
+    which span Y_{d,n}(u).  genA is reduced after every rank increase, so
+    membership exits early.
     """
     if genA.d != d or genB.d != d or genA.n != n or genB.n != n:
         raise ValueError("generators must live in the stated algebra")
-    words = list(split_basis(d, n))
-    elems = [AlgebraElement.from_word(d, n, f, p) for f, p in words]
-    index = {w: i for i, w in enumerate(words)}
-
-    def vector(e: AlgebraElement) -> dict[int, RatFunc]:
-        return {index[w]: c for w, c in e.terms.items() if not c.is_zero()}
-
+    gens = [gen_g(d, n, i) for i in range(1, n)]
+    if d > 1:
+        gens += [gen_t(d, n, j) for j in range(1, n + 1)]
     span = _Echelon()
-    target = span.reduce(vector(genA))
-    if not target:
-        return True
+    target = dict(genA.terms)  # columns are basis words, in split-basis order
+    queue: list[AlgebraElement] = []
 
-    def insert(vec: dict[int, RatFunc]) -> bool:
+    def insert(e: AlgebraElement) -> bool:
         nonlocal target
-        if span.insert(vec) in target:
+        if span.insert(dict(e.terms)) is not None:
+            queue.append(e)
             target = span.reduce(target)
         return not target
 
-    lefts = [a * genB for a in elems]
-    for left in lefts:
-        if insert(vector(left)):
-            return True
-    for left in lefts:
-        for b in elems[1:]:
-            if insert(vector(left * b)):
+    if not target or insert(genB):
+        return True
+    for r in queue:  # grows while it is read
+        for w in gens:
+            if insert(w * r) or insert(r * w):
                 return True
-    return not target
+    return False

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from framelink.braids import parse_braid
-from framelink.cli import _cache_key, cache_get, cache_put, main
+from framelink.cli import _cache_key, build_parser, cache_get, cache_put, main
 from framelink.invariants import homflypt
 
 
@@ -172,6 +172,22 @@ def test_cache_hit_renders_identically(tmp_path, capsys):
         assert sum(1 for _ in fh) == 1
 
 
+def test_cache_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so it must not freeze the
+    # variable; drop the built one so the first call below builds it anew
+    build_parser.cache_clear()
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path, braid in zip(paths, ("s1 s1 s1", "s1")):
+        monkeypatch.setenv("FRAMELINK_CACHE", str(path))
+        assert run(capsys, "homflypt", "--braid", braid)[0] == 0
+    # an explicit empty --cache still means no cache
+    assert run(capsys, "homflypt", "--braid", "s1 s1", "--cache", "")[0] == 0
+    for path, braid in zip(paths, ("s1 s1 s1", "s1")):
+        with open(path) as fh:
+            assert [json.loads(line)["key"]["braid"] for line in fh] == [braid]
+    assert sorted(tmp_path.iterdir()) == paths
+
+
 def test_cache_write_failure_is_not_fatal(tmp_path, capsys):
     code, out, err = run(capsys, "jones", "--braid", "s1 s1 s1",
                          "--cache", str(tmp_path))
@@ -205,6 +221,19 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, "homflypt", "--braid", braid)
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert "budget" in err
+    # enumerating 2^40 subsets is refused by the enumeration budget
+    code, out, err = run(capsys, "esystem", "--d", "40")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "budget" in err
+    # verify sizes are checked before any work starts
+    for what, flag, value in (("markov", "--n", "1"), ("skein", "--n", "1"),
+                              ("markov", "--samples", "0"),
+                              ("skein", "--samples", "-3"),
+                              ("relations", "--d", "0"),
+                              ("quotients", "--d", "0")):
+        code, out, err = run(capsys, "verify", "--what", what, flag, value)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert flag in err
 
 
 def test_missing_argument_exits_2():

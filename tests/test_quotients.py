@@ -6,9 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from framelink.algebra import AlgebraElement, quotient_generator, split_basis
+from framelink.algebra import (
+    AlgebraElement,
+    gen_g,
+    gen_t,
+    idempotent_e,
+    quotient_generator,
+    split_basis,
+)
 from framelink.esystem import enumerate_solutions, inverse_fourier
 from framelink.quotients import (
+    KINDS,
     QuotientCheck,
     _generic_scan,
     _scan,
@@ -364,6 +372,85 @@ def test_chain_strict_at_d2():
     # the ftl ideal is properly smaller than the ytl ideal once d > 1
     assert not ideal_inclusion(quotient_generator("ytl", 2, 3, 1),
                                quotient_generator("ftl", 2, 3, 1), 2)
+
+
+class _Rows:
+    """Row reduction over Q(u), apart from quotients._Echelon: rows are kept
+    in insertion order, each free of the pivots of the rows before it."""
+
+    def __init__(self):
+        self.rows = []
+
+    def reduce(self, vec):
+        for col, row in self.rows:
+            c = vec.get(col)
+            if c is not None:
+                for k, v in row.items():
+                    nxt = vec.get(k, RatFunc.const(0)) - c * v
+                    if nxt.is_zero():
+                        vec.pop(k, None)
+                    else:
+                        vec[k] = nxt
+        return vec
+
+    def insert(self, vec) -> bool:
+        vec = self.reduce(vec)
+        if vec:
+            col = min(vec)
+            inv = vec[col] ** -1
+            self.rows.append((col, {k: inv * v for k, v in vec.items()}))
+        return bool(vec)
+
+
+def _literal_inclusion(genA, genB, d, n=3):
+    """Is genA in span{a genB b : a, b split-basis words}?  The double loop
+    over the pairs, with a kept only where a genB is not in the span of the
+    earlier left multiples; by bilinearity the pairs span the same ideal."""
+    words = [AlgebraElement.from_word(d, n, f, p) for f, p in split_basis(d, n)]
+    lefts = _Rows()
+    kept = [x for x in (a * genB for a in words) if lefts.insert(dict(x.terms))]
+    span = _Rows()
+    for x in kept:
+        for b in words:
+            if span.insert(dict((x * b).terms)) and not span.reduce(dict(genA.terms)):
+                return True
+    return not genA.terms
+
+
+def test_inclusion_matches_the_literal_ideal_d1():
+    rng = random.Random(4101)
+    named = [AlgebraElement.unit(1, 3), gen_g(1, 3, 1), gen_g(1, 3, 2),
+             idempotent_e(1, 3, 1)] + [quotient_generator(k, 1, 3, 1) for k in KINDS]
+    elems = named.copy()
+    for _ in range(4):
+        x = rng.choice(named)
+        for _ in range(rng.randint(1, 2)):
+            x = x * rng.choice(named)
+        elems.append(x)
+    verdicts = set()
+    for a in elems:
+        for b in elems:
+            verdict = ideal_inclusion(a, b, 1)
+            assert verdict is _literal_inclusion(a, b, 1), (a, b)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_inclusion_matches_the_literal_ideal_d2():
+    # the chain, ytl outside ftl, and pairs moved by framing generators t_j,
+    # which the closure must multiply by as well as by the g_i
+    rng = random.Random(4102)
+    g, r, c = (quotient_generator(k, 2, 3, 1) for k in KINDS)
+    t = gen_t(2, 3, rng.randint(1, 3))
+    s = gen_g(2, 3, rng.randint(1, 2))
+    pairs = [(r, g), (c, r), (c, g), (g, r), (t * g * s, g), (s * r * t, r),
+             (t * c, r), (t * r, c)]
+    verdicts = set()
+    for a, b in pairs:
+        verdict = ideal_inclusion(a, b, 2)
+        assert verdict is _literal_inclusion(a, b, 2), (a, b)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_inclusion_rejects_mismatched_algebra():
