@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import braids, perms
-from .scalars import Poly, RatFunc, RATFUNC_ONE, U
+from .scalars import Poly, RatFunc, RATFUNC_ONE, U, _power
 
 BasisWord = tuple[tuple[int, ...], perms.Perm]  # (framings, permutation)
 
@@ -138,7 +138,7 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, c) -> "AlgebraElement":
-        c = c if isinstance(c, RatFunc) else RatFunc.const(c)
+        c = RatFunc.const(c)
         if c.is_zero():
             return AlgebraElement.zero(self.d, self.n)
         return AlgebraElement(self.d, self.n, {w: c * cw for w, cw in self.terms.items()})
@@ -160,14 +160,7 @@ class AlgebraElement:
     def __pow__(self, e: int) -> "AlgebraElement":
         if e < 0:
             raise ValueError("use inverse_g for inverses of generators")
-        out = AlgebraElement.unit(self.d, self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, AlgebraElement.unit(self.d, self.n))
 
     # -- identity -----------------------------------------------------------
 
@@ -316,10 +309,6 @@ def map_to_algebra(b: braids.BraidWord, d: int) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # named relation checks
 # ---------------------------------------------------------------------------
-
-
-def _poly_x() -> Poly:
-    return Poly.variable("x")
 
 
 def verify_relation(name: str, d: int) -> bool:

@@ -124,9 +124,6 @@ class BraidWord:
                 total += 1
         return total
 
-    def writhe_only_letters(self) -> bool:
-        return all(l[0] == "s" for l in self.letters)
-
     def concat(self, other: "BraidWord") -> "BraidWord":
         n = max(self.n, other.n)
         kind = self.kind

@@ -48,6 +48,9 @@ from .quotients import QuotientCheck, admissible, trace_vanishes_on_ideal
 from .scalars import U, RatFunc
 
 CACHE_ENV = "FRAMELINK_CACHE"
+# Each step in d multiplies the cost of `verify --what quotients`: --d 3
+# takes ~28 s and --d 4 ~250 s (2 vCPU, Python 3.11), so --d is capped.
+MAX_QUOTIENT_VERIFY_D = 3
 RELATION_NAMES = ("cubic", "cubic_factorization", "gipi", "quadratic_p",
                   "eta_relations", "bmw_quintic_factorization")
 
@@ -376,9 +379,13 @@ def _quotient_grid(d_max: int):
 
 
 def _verify_quotients(args) -> list[str]:
+    d_max = args.d or 2
+    if d_max > MAX_QUOTIENT_VERIFY_D:
+        raise ValueError(f"verify --what quotients --d {d_max} exceeds the budget "
+                         f"of --d <= {MAX_QUOTIENT_VERIFY_D}")
     failures = []
     counts = {}
-    for check in _quotient_grid(args.d or 2):
+    for check in _quotient_grid(d_max):
         closed = admissible(check)
         scanned = trace_vanishes_on_ideal(check)
         counts[check.kind] = counts.get(check.kind, 0) + 1

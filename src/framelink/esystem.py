@@ -22,17 +22,9 @@ def _lift(values: Sequence) -> list:
     entries live in the cyclotomic field.
     """
     if any(isinstance(v, RatFunc) for v in values):
-        return [v if isinstance(v, RatFunc) else RatFunc.const(v) for v in values]
+        return [RatFunc.const(v) for v in values]
     return [v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
             for v in values]
-
-
-def _root_factor(val, d: int, k: int):
-    """val * zeta_d^k in val's domain."""
-    z = Cyclotomic.root_of_unity(d, k)
-    if isinstance(val, RatFunc):
-        return val * RatFunc.const(z)
-    return val * z
 
 
 @dataclass(frozen=True)
@@ -129,7 +121,7 @@ def fourier_transform(x: Sequence) -> FourierData:
     for k in range(d):
         acc = vals[0] * 0
         for m in range(d):
-            acc = acc + _root_factor(vals[m], d, (-k * m) % d)
+            acc = acc + vals[m] * Cyclotomic.root_of_unity(d, (-k * m) % d)
         y.append(acc)
     support = tuple(k for k in range(d) if not y[k].is_zero())
     return FourierData(tuple(y), support)
@@ -144,7 +136,7 @@ def inverse_fourier(y: Sequence) -> tuple:
     for m in range(d):
         acc = vals[0] * 0
         for k in range(d):
-            acc = acc + _root_factor(vals[k], d, (k * m) % d)
+            acc = acc + vals[k] * Cyclotomic.root_of_unity(d, (k * m) % d)
         out.append(acc * inv_d)
     return tuple(out)
 

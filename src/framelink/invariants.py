@@ -124,7 +124,7 @@ def jones(b: BraidWord) -> InvariantValue:
 
 def framed_jones(b: BraidWord, d: int, D) -> InvariantValue:
     check_modulus(d)
-    subset = tuple(sorted(set(k % d for k in D)))
+    subset = tuple(sorted(k % d for k in D))
     zval = RatFunc.const(-1) / ((U + 1) * RatFunc.const(len(subset)))
     return invariant(InvariantRequest(b, "framed", d, subset, zval=zval))
 

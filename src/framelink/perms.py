@@ -86,13 +86,6 @@ def all_perms(n: int) -> Iterator[Perm]:
     return _itertools_permutations(range(1, n + 1))
 
 
-def restrict(p: Perm) -> Perm:
-    """Drop the last strand of a permutation fixing it."""
-    if p[-1] != len(p):
-        raise ValueError(f"{p} does not fix the top strand")
-    return p[:-1]
-
-
 def embed(p: Perm, n: int) -> Perm:
     """Embed into S_n by fixing the new top strands."""
     if n < len(p):

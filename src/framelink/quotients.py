@@ -64,10 +64,6 @@ from .trace import TraceParams, Tracer
 KINDS = ("ytl", "ftl", "ctl")
 
 
-def _as_rf(v) -> RatFunc:
-    return v if isinstance(v, RatFunc) else RatFunc.const(v)
-
-
 @dataclass(frozen=True)
 class QuotientCheck:
     """One parameter set to test: quotient kind, d, z value, x_1..x_{d-1}."""
@@ -85,10 +81,11 @@ class QuotientCheck:
             raise ValueError("d must be >= 1")
         if len(self.xs) != self.d - 1:
             raise ValueError(f"need x_1..x_{self.d - 1}")
-        if self.n < 3:
-            raise ValueError("the ideal criterion needs n >= 3")
-        object.__setattr__(self, "zval", _as_rf(self.zval))
-        object.__setattr__(self, "xs", tuple(_as_rf(v) for v in self.xs))
+        if self.n != 3:
+            raise ValueError("the ideal criterion needs n = 3 (n > 3 exceeds "
+                             f"the budget), got n = {self.n}")
+        object.__setattr__(self, "zval", RatFunc.const(self.zval))
+        object.__setattr__(self, "xs", tuple(RatFunc.const(v) for v in self.xs))
 
     def substitution(self) -> dict[str, RatFunc]:
         out = {"z": self.zval}
@@ -156,11 +153,8 @@ def _scan(check: QuotientCheck):
     return True, None
 
 
-def trace_vanishes_on_ideal(check: QuotientCheck, deep: bool = False,
-                            allow_large: bool = False) -> bool:
+def trace_vanishes_on_ideal(check: QuotientCheck, deep: bool = False) -> bool:
     """Does the substituted trace kill the two-sided ideal of the generator?"""
-    if check.n > 3 and not allow_large:
-        raise ValueError("n > 3 exceeds the default budget; pass allow_large=True")
     if deep:
         return _deep_scan(check) is None
     return _scan(check)[0]
@@ -213,14 +207,14 @@ def _ytl_admissible(check: QuotientCheck) -> bool:
         for sol in enumerate_solutions(d):
             if sol.size() != size:
                 continue
-            if all(xs[m] == _as_rf(sol.x[m]) for m in range(d)):
+            if all(xs[m] == sol.x[m] for m in range(d)):
                 return True
     return False
 
 
 def _ftl_admissible(check: QuotientCheck) -> bool:
     d, z = check.d, check.zval
-    y = [_as_rf(v) for v in fourier_transform((1,) + check.xs).y]
+    y = [RatFunc.const(v) for v in fourier_transform((1,) + check.xs).y]
     neg_dz = RatFunc.const(-d) * z
     d1 = [k for k in range(d) if y[k] == neg_dz]
     d2 = [k for k in range(d) if y[k] == neg_dz * (U + 1)]

@@ -22,6 +22,11 @@ Four layers, none of which ever touches floating point:
 * ``HalfPowerValue`` -- r * L^(h/2) for a fixed rational function L and
   h in {0, 1}; integer powers of L are always folded into r.
 
+One power routine, ``_power``, serves every type (algebra elements too);
+one Euclid on dense coefficient lists, ``_uni_divmod``, serves the
+cyclotomic polynomials, ``Cyclotomic.inverse`` and the univariate gcd; and
+``RatFunc.const`` is the one coercion to ``RatFunc``.
+
 ``parse_ratfunc`` reads back everything ``RatFunc.render`` emits (and a bit
 more: whitespace, explicit ``+``/``-`` chains, ``zeta<m>`` tokens).
 """
@@ -33,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 # ---------------------------------------------------------------------------
-# univariate helpers over Fraction lists (ascending coefficients)
+# univariate helpers over coefficient lists (ascending; Fraction or Cyclotomic)
 # ---------------------------------------------------------------------------
 
 
@@ -80,6 +85,17 @@ def _uni_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
         if not rem:
             break
     return _uni_trim(quot), rem
+
+
+def _power(base, e: int, one):
+    """base^e for e >= 0 by repeated squaring; one is the unit of base's ring."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,9 +206,6 @@ class Cyclotomic:
                         out[i] += cj * p
         return tuple(out)
 
-    def promote(self, m2: int) -> "Cyclotomic":
-        return Cyclotomic(m2, self._coeffs_at(m2))
-
     def _pair(self, other: "Cyclotomic"):
         if self.m == other.m:
             return self.m, self.c, other.c
@@ -263,14 +276,7 @@ class Cyclotomic:
     def __pow__(self, e: int) -> "Cyclotomic":
         if e < 0:
             return self.inverse() ** (-e)
-        out = Cyclotomic.from_rational(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, _CYC_ONE)
 
     # -- identity -----------------------------------------------------------
 
@@ -484,14 +490,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial; use RatFunc")
-        out = Poly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, _POLY_ONE)
 
     def exact_div(self, divisor: "Poly") -> "Poly | None":
         """self / divisor if the division is exact, else None."""
@@ -511,20 +510,6 @@ class Poly:
             quot[qm] = qc
             rem = rem - divisor * Poly({qm: qc})
         return Poly(quot)
-
-    def split_by(self, var: str) -> dict[int, "Poly"]:
-        """Write self as sum_k A_k * var^k; returns {k: A_k}."""
-        out: dict[int, dict[Mono, Cyclotomic]] = {}
-        for mono, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, ex in mono:
-                if v == var:
-                    e = ex
-                else:
-                    rest.append((v, ex))
-            out.setdefault(e, {})[tuple(rest)] = c
-        return {k: Poly(d) for k, d in out.items()}
 
     def degree_in(self, var: str) -> int:
         return max((dict(m).get(var, 0) for m in self.terms), default=0)
@@ -596,26 +581,21 @@ def _poly_div_mono(p: Poly, mono: Mono) -> Poly:
 
 
 def _uni_poly_gcd(a: Poly, b: Poly, var: str) -> Poly:
-    """Monic gcd of two univariate polynomials in ``var``."""
-    def divmod_uni(f: Poly, g: Poly):
-        gs = g.split_by(var)
-        gd = max(gs)
-        glead = gs[gd].constant_value()
-        rem = f
-        while not rem.is_zero() and rem.degree_in(var) >= gd:
-            rs = rem.split_by(var)
-            rd = max(rs)
-            c = rs[rd].constant_value() / glead
-            shift = Poly({((var, rd - gd),) if rd > gd else _MONO_ONE: c})
-            rem = rem - g * shift
-        return rem
+    """Monic gcd of two univariate polynomials in ``var``: Euclid on dense
+    coefficient lists through ``_uni_divmod``."""
+    def dense(p: Poly) -> list[Cyclotomic]:
+        out = [_CYC_ZERO] * (p.degree_in(var) + 1)
+        for mono, c in p.terms.items():
+            out[mono[0][1] if mono else 0] = c
+        return _uni_trim(out)
 
-    while not b.is_zero():
-        a, b = b, divmod_uni(a, b)
-    if a.is_zero():
-        return a
-    lead = a.split_by(var)[a.degree_in(var)].constant_value()
-    return a * lead.inverse()
+    a_c, b_c = dense(a), dense(b)
+    while b_c:
+        a_c, b_c = b_c, _uni_divmod(a_c, b_c)[1]
+    if not a_c:
+        return _POLY_ZERO
+    inv = a_c[-1].inverse()
+    return Poly({((var, k),) if k else _MONO_ONE: c * inv for k, c in enumerate(a_c)})
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +653,7 @@ class RatFunc:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
+        other = RatFunc.const(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -689,13 +669,13 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
-        return self + (-_as_ratfunc(other))
+        return self + (-RatFunc.const(other))
 
     def __rsub__(self, other) -> "RatFunc":
-        return _as_ratfunc(other) + (-self)
+        return RatFunc.const(other) + (-self)
 
     def __mul__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
+        other = RatFunc.const(other)
         if self.is_zero() or other.is_zero():
             return RATFUNC_ZERO
         return RatFunc(self.num * other.num, self.den * other.den)
@@ -708,29 +688,22 @@ class RatFunc:
         return RatFunc(self.den, self.num)
 
     def __truediv__(self, other) -> "RatFunc":
-        return self * _as_ratfunc(other).inverse()
+        return self * RatFunc.const(other).inverse()
 
     def __rtruediv__(self, other) -> "RatFunc":
-        return _as_ratfunc(other) * self.inverse()
+        return RatFunc.const(other) * self.inverse()
 
     def __pow__(self, e: int) -> "RatFunc":
         if e < 0:
             return self.inverse() ** (-e)
-        out = RATFUNC_ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, RATFUNC_ONE)
 
     # -- substitution -------------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, "RatFunc"]) -> "RatFunc":
         """Simultaneously substitute rational functions for variables."""
         own = self.variables()
-        relevant = {v: _as_ratfunc(val) for v, val in mapping.items() if v in own}
+        relevant = {v: RatFunc.const(val) for v, val in mapping.items() if v in own}
         if not relevant:
             return self
         num, num_den = _poly_substitute(self.num, relevant)
@@ -841,14 +814,6 @@ def _poly_substitute(p: Poly, mapping: Mapping[str, "RatFunc"]) -> tuple[Poly, P
     return Poly(out), den
 
 
-def _as_ratfunc(x) -> "RatFunc":
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (int, Fraction, Cyclotomic)):
-        return RatFunc.const(x)
-    raise TypeError(f"cannot coerce {x!r} to a rational function")
-
-
 RATFUNC_ZERO = RatFunc(_POLY_ZERO)
 RATFUNC_ONE = RatFunc(_POLY_ONE)
 U = RatFunc.var("u")
@@ -901,7 +866,7 @@ class HalfPowerValue:
         return HalfPowerValue(self.value, self.half + steps, self.base)
 
     def scale(self, c: ScalarLike) -> "HalfPowerValue":
-        return HalfPowerValue(self.value * _as_ratfunc(c), self.half, self.base)
+        return HalfPowerValue(self.value * c, self.half, self.base)
 
     def is_zero(self) -> bool:
         return self.value.is_zero()

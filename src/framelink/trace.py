@@ -66,8 +66,7 @@ class TraceParams:
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.xs is not None:
-            xs = tuple(v if isinstance(v, RatFunc) else RatFunc.const(v)
-                       for v in self.xs)
+            xs = tuple(RatFunc.const(v) for v in self.xs)
             if len(xs) != self.d - 1:
                 raise ValueError(f"need x_1..x_{self.d - 1}, got {len(xs)} values")
             object.__setattr__(self, "xs", xs)
@@ -134,4 +133,4 @@ def ocneanu_trace(e: AlgebraElement) -> RatFunc:
 
 def specialized_params(sol) -> TraceParams:
     """Trace parameters with x's taken from an E-system solution."""
-    return TraceParams(sol.d, tuple(RatFunc.const(c) for c in sol.x[1:]))
+    return TraceParams(sol.d, sol.x[1:])

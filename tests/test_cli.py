@@ -225,6 +225,15 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "esystem", "--d", "40")
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert "budget" in err
+    # the quotient suite is capped in d: each step multiplies its cost
+    code, out, err = run(capsys, "verify", "--what", "quotients", "--d", "4")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "budget" in err and "--d" in err
+    # repeated residues are refused by every subcommand, framed-jones too
+    code, out, err = run(capsys, "framed-jones", "--d", "2", "--subset", "0,2",
+                         "--braid", "s1")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "repeated residues" in err
     # verify sizes are checked before any work starts
     for what, flag, value in (("markov", "--n", "1"), ("skein", "--n", "1"),
                               ("markov", "--samples", "0"),

@@ -62,6 +62,8 @@ def test_rejects_small_n():
 def test_large_n_needs_flag():
     with pytest.raises(ValueError):
         trace_vanishes_on_ideal(QuotientCheck("ytl", 1, -1, n=4))
+    with pytest.raises(ValueError):
+        quotient_report(QuotientCheck("ytl", 1, -1, n=4))
 
 
 def test_parameter_coercion():

@@ -17,6 +17,7 @@ from framelink.scalars import (
     x_var,
     U,
     Z,
+    _uni_poly_gcd,
 )
 from framelink.invariants import lambda_d
 
@@ -164,6 +165,13 @@ def test_renders_pinned():
     assert ((U * Z + 1) / (3 * U * U * Z)).render() == "(1/3*u*z + 1/3)/(u^2*z)"
     zval = RatFunc.const(-1) / (2 * (U + 1))
     assert lambda_d(3, 2).substitute({"z": zval}).render() == "u"
+    # a common (u + 1) cancels only through the univariate gcd
+    assert ((U + 1) * (U - 2) / ((U + 1) * (U + 3))).render() == "(u - 2)/(u + 3)"
+    assert ((2 * U ** 2 - 2) / (3 * U ** 2 + 6 * U + 3)).render() \
+        == "(2/3*u - 2/3)/(u + 1)"
+    zeta3 = RatFunc.const(Cyclotomic.root_of_unity(3))
+    assert ((U ** 2 - zeta3) * (U + 1) / ((U + 1) * (2 * U - 1))).render() \
+        == "(1/2*u^2 + (-1/2*zeta3))/(u - 1/2)"
 
 
 def _random_laurent(rng):
@@ -197,6 +205,33 @@ def test_substitution_is_a_ring_map():
         zs, xs = {"z": m["z"]}, {"x1": m["x1"]}
         assert f.substitute(zs).substitute(xs) == fm
         assert f.substitute(xs).substitute(zs) == fm
+
+
+def _random_uni(rng, zeta):
+    """A nonzero polynomial in u of degree <= 3, coefficients in Q or Q(zeta)."""
+    while True:
+        p = Poly.zero()
+        for k in range(rng.randint(0, 3) + 1):
+            c = Cyclotomic.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            if zeta is not None and rng.random() < 0.5:
+                c = c + zeta ** rng.randint(1, 2) * rng.randint(-2, 2)
+            p = p + Poly.variable("u", k) * Poly.const(c)
+        if not p.is_zero():
+            return p
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_uni_poly_gcd(m):
+    rng = random.Random(31 + m)
+    zeta = Cyclotomic.root_of_unity(3) if m == 3 else None
+    for _ in range(40):
+        a, b, c = (_random_uni(rng, zeta) for _ in range(3))
+        g = _uni_poly_gcd(a * c, b * c, "u")
+        _, lead = max(g.terms.items(), key=lambda t: t[0][0][1] if t[0] else 0)
+        assert lead == Cyclotomic.from_rational(1)
+        assert (a * c).exact_div(g) is not None
+        assert (b * c).exact_div(g) is not None
+        assert g.exact_div(c) is not None
 
 
 def test_negative_powers():
