@@ -3,7 +3,10 @@
 The constraints on the framing trace parameters x_1..x_{d-1} (with x_0 = 1)
 are E^{(m)} = x_m E, where E^{(m)} = (1/d) sum_s x_{m+s} x_{d-s} and
 E = E^{(0)}.  Every solution is the average of a character set,
-x_m = (1/|D|) sum_{k in D} zeta_d^{km}, and conversely.
+x_m = (1/|D|) sum_{k in D} zeta_d^{km}, and conversely.  By Fourier
+inversion x is the solution of D exactly when its transform
+y_k = sum_m x_m zeta_d^{-km} is (d/|D|) 1_D, so D is the support of y and
+distinct subsets give distinct x.
 """
 from __future__ import annotations
 
@@ -92,53 +95,45 @@ MAX_ENUMERATE_D = 8  # see enumerate_solutions
 
 
 def enumerate_solutions(d: int) -> list[ESolution]:
-    """All 2^d - 1 subset solutions, deduplicated by x-vector.
+    """All 2^d - 1 subset solutions, by size and then lexicographically.
 
-    Every subset is built and compared with the solutions kept so far, so
-    the cost grows faster than 2^d: d = 8 takes ~1.2 s, d = 10 ~11 s and
-    d = 11 ~92 s (2 vCPU, Python 3.11).  d above the budget
-    MAX_ENUMERATE_D = 8 is refused with ValueError rather than left to run
-    for hours; build_solution still takes a single subset at any d.
+    Distinct subsets give distinct x (see the module docstring), so each
+    subset is built once and nothing is compared.  d = 8 takes ~0.6-0.9 s,
+    d = 10 ~6-10 s and d = 11 ~100 s (2 vCPU, Python 3.11); d above the
+    budget MAX_ENUMERATE_D = 8 is refused with ValueError rather than left
+    to run for minutes; build_solution still takes a single subset at any d.
     """
     check_modulus(d)
     if d > MAX_ENUMERATE_D:
         raise ValueError(f"enumerating the 2^{d} - 1 subsets of Z/{d}Z exceeds "
                          f"the budget of d <= {MAX_ENUMERATE_D}")
-    out: list[ESolution] = []
-    for size in range(1, d + 1):
-        for subset in combinations(range(d), size):
-            sol = build_solution(d, subset)
-            if not any(prev.x == sol.x for prev in out):
-                out.append(sol)
+    return [build_solution(d, subset) for size in range(1, d + 1)
+            for subset in combinations(range(d), size)]
+
+
+def _dft(values: Sequence, sign: int) -> list:
+    """sum_m v_m zeta_d^{sign k m} for k = 0..d-1, in the domain of the values."""
+    d = len(values)
+    vals = _lift(values)
+    out = []
+    for k in range(d):
+        acc = vals[0] * 0
+        for m in range(d):
+            acc = acc + vals[m] * Cyclotomic.root_of_unity(d, (sign * k * m) % d)
+        out.append(acc)
     return out
 
 
 def fourier_transform(x: Sequence) -> FourierData:
     """y_k = sum_m x_m zeta_d^{-km}; support is where y is nonzero."""
-    d = len(x)
-    vals = _lift(x)
-    y = []
-    for k in range(d):
-        acc = vals[0] * 0
-        for m in range(d):
-            acc = acc + vals[m] * Cyclotomic.root_of_unity(d, (-k * m) % d)
-        y.append(acc)
-    support = tuple(k for k in range(d) if not y[k].is_zero())
-    return FourierData(tuple(y), support)
+    y = tuple(_dft(x, -1))
+    return FourierData(y, tuple(k for k, v in enumerate(y) if not v.is_zero()))
 
 
 def inverse_fourier(y: Sequence) -> tuple:
     """x_m = (1/d) sum_k y_k zeta_d^{km}; inverts fourier_transform."""
-    d = len(y)
-    vals = _lift(y)
-    inv_d = Fraction(1, d)
-    out = []
-    for m in range(d):
-        acc = vals[0] * 0
-        for k in range(d):
-            acc = acc + vals[k] * Cyclotomic.root_of_unity(d, (k * m) % d)
-        out.append(acc * inv_d)
-    return tuple(out)
+    inv_d = Fraction(1, len(y))
+    return tuple(v * inv_d for v in _dft(y, 1))
 
 
 def e_d_value(sol: ESolution) -> Fraction:

@@ -14,12 +14,12 @@ with tau letters).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import map_to_algebra
 from .braids import BraidWord, framing, sigma, tau
-from .esystem import build_solution, check_modulus
+from .esystem import build_solution
 from .scalars import HalfPowerValue, RatFunc, U, Z
 from .trace import Tracer, specialized_params
 
@@ -123,10 +123,10 @@ def jones(b: BraidWord) -> InvariantValue:
 
 
 def framed_jones(b: BraidWord, d: int, D) -> InvariantValue:
-    check_modulus(d)
-    subset = tuple(sorted(k % d for k in D))
-    zval = RatFunc.const(-1) / ((U + 1) * RatFunc.const(len(subset)))
-    return invariant(InvariantRequest(b, "framed", d, subset, zval=zval))
+    """The framed invariant at z = -1/((u+1)|D|), |D| read off the built solution."""
+    val = invariant(InvariantRequest(b, "framed", d, tuple(D)))
+    zval = RatFunc.const(-1) / ((U + 1) * RatFunc.const(len(val.D)))
+    return replace(val, value=val.value.substitute({"z": zval}))
 
 
 # -- skein relations ---------------------------------------------------------

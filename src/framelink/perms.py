@@ -26,26 +26,11 @@ def transposition(n: int, i: int) -> Perm:
     return tuple(p)
 
 
-def multiply(p: Perm, q: Perm) -> Perm:
-    """(p*q)(j) = p(q(j)): q acts first."""
-    return tuple(p[q[j] - 1] for j in range(len(p)))
-
-
 def inverse(p: Perm) -> Perm:
     inv = [0] * len(p)
     for j, v in enumerate(p):
         inv[v - 1] = j + 1
     return tuple(inv)
-
-
-def apply(p: Perm, j: int) -> int:
-    return p[j - 1]
-
-
-def length(p: Perm) -> int:
-    """Coxeter length = number of inversions."""
-    n = len(p)
-    return sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b])
 
 
 def right_mul_s(p: Perm, i: int) -> Perm:

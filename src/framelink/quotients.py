@@ -10,9 +10,16 @@ trace kills the ideal.  At desk scale that is the statement
 with the z and x parameters substituted in.  Each quotient also has a
 closed-form characterization of the passing parameter sets; admissible()
 evaluates that closed form, trace_vanishes_on_ideal() evaluates the ideal
-criterion, and the two must agree.
+criterion, and the two must agree.  The ideal criterion runs at n = 3.
 
-The quadratic blow-up of the pair loop is avoided by two exact reductions,
+The YTL and FTL closed forms read the subset D off the Fourier transform
+y_k = sum_m x_m zeta_d^{-km} of (1, x_1..x_{d-1}): x is the E-system
+solution of D exactly when y = (d/|D|) 1_D.  YTL passes when y has that
+shape with |D| <= 2 and z is -1/(u+1) or -1 for |D| = 1, -1/2 for
+|D| = 2.  FTL passes when every nonzero y_k is -dz or -dz(u+1), with
+z = -1/(|D_1| + (u+1)|D_2|) for the two blocks D_1, D_2 of the support.
+
+The quadratic blow-up of the pair loop is avoided by three exact reductions,
 each verified rather than assumed:
 
 * conjugation certificate: tr(c w) = tr(w c) is checked in generic mode
@@ -35,9 +42,6 @@ each verified rather than assumed:
   word at d = 1, 4 / 2 / 1 of 48 (YTL / FTL / CTL) at d = 2 and 10 / 3 of
   162 (YTL / FTL) at d = 3.
 
-deep=True runs the literal double loop instead (practical for d <= 2) and
-is used by the test suite to validate the reductions.
-
 ideal_inclusion decides the chain of the three defining ideals without the
 pair loop either: it closes the span of one generator under multiplication
 by the algebra generators on both sides, which gives its whole two-sided
@@ -57,11 +61,12 @@ from .algebra import (
     quotient_generator,
     split_basis,
 )
-from .esystem import enumerate_solutions, fourier_transform
+from .esystem import fourier_transform
 from .scalars import Poly, RatFunc, RATFUNC_ZERO, U
 from .trace import TraceParams, Tracer
 
 KINDS = ("ytl", "ftl", "ctl")
+_N = 3  # strands of the ideal criterion; n > 3 exceeds the budget
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,6 @@ class QuotientCheck:
     d: int
     zval: RatFunc
     xs: tuple = ()
-    n: int = 3
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -81,9 +85,6 @@ class QuotientCheck:
             raise ValueError("d must be >= 1")
         if len(self.xs) != self.d - 1:
             raise ValueError(f"need x_1..x_{self.d - 1}")
-        if self.n != 3:
-            raise ValueError("the ideal criterion needs n = 3 (n > 3 exceeds "
-                             f"the budget), got n = {self.n}")
         object.__setattr__(self, "zval", RatFunc.const(self.zval))
         object.__setattr__(self, "xs", tuple(RatFunc.const(v) for v in self.xs))
 
@@ -95,15 +96,15 @@ class QuotientCheck:
 
 
 @functools.lru_cache(maxsize=None)
-def _conjugation_certificate(d: int, n: int) -> bool:
+def _conjugation_certificate(d: int) -> bool:
     """Generic-mode check that the trace is invariant under cyclic moves
     by every generator; extends to tr(ab) = tr(ba) by induction on words."""
     tracer = Tracer(TraceParams(d))
-    gens = [gen_g(d, n, i) for i in range(1, n)]
+    gens = [gen_g(d, _N, i) for i in range(1, _N)]
     if d > 1:
-        gens.append(gen_t(d, n, 1))
-    for frm, perm in split_basis(d, n):
-        c = AlgebraElement.from_word(d, n, frm, perm)
+        gens.append(gen_t(d, _N, 1))
+    for frm, perm in split_basis(d, _N):
+        c = AlgebraElement.from_word(d, _N, frm, perm)
         for w in gens:
             if tracer.trace(c * w) != tracer.trace(w * c):
                 return False
@@ -111,19 +112,19 @@ def _conjugation_certificate(d: int, n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _generic_scan(kind: str, d: int, n: int) -> tuple:
+def _generic_scan(kind: str, d: int) -> tuple:
     """The kept words of the generic scan, as ((word, tr(gen . word)), ...).
 
     Words come in split-basis order; a word is kept when its generic value is
     not in the span, over Q(zeta_d)(u), of the values of the words kept
     before it.
     """
-    gen = quotient_generator(kind, d, n, 1)
+    gen = quotient_generator(kind, d, _N, 1)
     tracer = Tracer(TraceParams(d))
     span = _Echelon()
     out = []
-    for frm, perm in split_basis(d, n):
-        value = tracer.trace(gen * AlgebraElement.from_word(d, n, frm, perm))
+    for frm, perm in split_basis(d, _N):
+        value = tracer.trace(gen * AlgebraElement.from_word(d, _N, frm, perm))
         if span.insert(_coordinates(value)) is not None:
             out.append(((frm, perm), value))
     return tuple(out)
@@ -142,30 +143,29 @@ def _coordinates(value: RatFunc) -> dict:
 
 def _scan(check: QuotientCheck):
     """(verdict, witness) for the ideal criterion; witness is (a, b, value)."""
-    if not _conjugation_certificate(check.d, check.n):
+    if not _conjugation_certificate(check.d):
         raise AssertionError("trace conjugation certificate failed")
     subs = check.substitution()
-    unit_word = ((0,) * check.n, tuple(range(1, check.n + 1)))
-    for word, generic in _generic_scan(check.kind, check.d, check.n):
+    unit_word = ((0,) * _N, tuple(range(1, _N + 1)))
+    for word, generic in _generic_scan(check.kind, check.d):
         val = generic.substitute(subs)
         if not val.is_zero():
             return False, (unit_word, word, val)
     return True, None
 
 
-def trace_vanishes_on_ideal(check: QuotientCheck, deep: bool = False) -> bool:
+def trace_vanishes_on_ideal(check: QuotientCheck) -> bool:
     """Does the substituted trace kill the two-sided ideal of the generator?"""
-    if deep:
-        return _deep_scan(check) is None
     return _scan(check)[0]
 
 
 def _deep_scan(check: QuotientCheck):
-    """Literal double loop; returns a witness (a, b, value) or None."""
-    gen = quotient_generator(check.kind, check.d, check.n, 1)
+    """Literal double loop, the reference for _scan (practical for d <= 2);
+    returns a witness (a, b, value) or None."""
+    gen = quotient_generator(check.kind, check.d, _N, 1)
     tracer = Tracer(TraceParams(check.d, check.xs), z=check.zval)
-    words = list(split_basis(check.d, check.n))
-    elems = [AlgebraElement.from_word(check.d, check.n, f, p) for f, p in words]
+    words = list(split_basis(check.d, _N))
+    elems = [AlgebraElement.from_word(check.d, _N, f, p) for f, p in words]
     for wa, a in zip(words, elems):
         left = a * gen
         for wb, b in zip(words, elems):
@@ -196,32 +196,30 @@ def quotient_report(check: QuotientCheck) -> dict:
 # -- closed-form characterizations ------------------------------------------
 
 
+# z values that pass YTL, by |D|
+_YTL_Z = {1: (RatFunc.const(-1) / (U + 1), RatFunc.const(-1)),
+          2: (RatFunc.const(Fraction(-1, 2)),)}
+
+
 def _ytl_admissible(check: QuotientCheck) -> bool:
-    d, z = check.d, check.zval
-    xs = [RatFunc.const(1)] + list(check.xs)
-    for size in (1, 2):
-        z_ok = {1: (RatFunc.const(-1) / (U + 1), RatFunc.const(-1)),
-                2: (RatFunc.const(Fraction(-1, 2)),)}[size]
-        if not any(z == t for t in z_ok):
-            continue
-        for sol in enumerate_solutions(d):
-            if sol.size() != size:
-                continue
-            if all(xs[m] == sol.x[m] for m in range(d)):
-                return True
-    return False
+    ft = fourier_transform((1,) + check.xs)
+    size = len(ft.support)
+    if not any(check.zval == t for t in _YTL_Z.get(size, ())):
+        return False
+    level = RatFunc.const(Fraction(check.d, size))
+    return all(level == ft.y[k] for k in ft.support)
 
 
 def _ftl_admissible(check: QuotientCheck) -> bool:
     d, z = check.d, check.zval
-    y = [RatFunc.const(v) for v in fourier_transform((1,) + check.xs).y]
+    ft = fourier_transform((1,) + check.xs)
+    y = [RatFunc.const(v) for v in ft.y]
     neg_dz = RatFunc.const(-d) * z
     d1 = [k for k in range(d) if y[k] == neg_dz]
     d2 = [k for k in range(d) if y[k] == neg_dz * (U + 1)]
     if set(d1) & set(d2):
         return False
-    support = [k for k in range(d) if not y[k].is_zero()]
-    if sorted(d1 + d2) != support:
+    if tuple(sorted(d1 + d2)) != ft.support:
         return False
     denom = RatFunc.const(len(d1)) + (U + 1) * RatFunc.const(len(d2))
     return z == RatFunc.const(-1) / denom

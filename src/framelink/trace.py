@@ -71,10 +71,6 @@ class TraceParams:
                 raise ValueError(f"need x_1..x_{self.d - 1}, got {len(xs)} values")
             object.__setattr__(self, "xs", xs)
 
-    @property
-    def generic(self) -> bool:
-        return self.xs is None
-
     def x_value(self, m: int) -> RatFunc:
         m %= self.d
         if m == 0:

@@ -92,6 +92,40 @@ def test_verify_skein_small(capsys):
     assert code == 0
 
 
+def _status_lines(out, prefix):
+    return {line.split(":")[0]: line.split()[-1]
+            for line in out.splitlines() if line.startswith(prefix)}
+
+
+def test_verify_status_lines_count_only_their_own_checks(capsys, monkeypatch):
+    import framelink.cli as cli
+
+    monkeypatch.setattr(cli, "verify_skein",
+                        lambda kind, base, i, d, D: (d, D) != (2, (0,)))
+    code, out, _ = run(capsys, "verify", "--what", "skein", "--d", "2",
+                       "--samples", "1")
+    assert code == 1
+    assert _status_lines(out, "skein") == {
+        "skein d=1 D={0}": "ok", "skein d=2 D={0}": "FAIL",
+        "skein d=2 D={1}": "ok", "skein d=2 D={0,1}": "ok"}
+
+    # a fresh object per framed value, so every framed sequence differs
+    monkeypatch.setattr(cli, "invariant",
+                        lambda req: object() if req.family == "framed" else 0)
+    code, out, _ = run(capsys, "verify", "--what", "markov", "--samples", "2")
+    assert code == 1
+    assert _status_lines(out, "markov") == {
+        "markov framed d=2": "FAIL", "markov classical d=2": "ok",
+        "markov singular d=2": "ok"}
+
+    monkeypatch.setattr(cli, "admissible", lambda check: check.kind != "ctl")
+    monkeypatch.setattr(cli, "trace_vanishes_on_ideal", lambda check: True)
+    code, out, _ = run(capsys, "verify", "--what", "quotients", "--d", "2")
+    assert code == 1
+    assert _status_lines(out, "quotients") == {
+        "quotients ctl": "FAIL", "quotients ftl": "ok", "quotients ytl": "ok"}
+
+
 def test_compare_exit_codes(capsys):
     code, out, _ = run(capsys, "compare", "--braid-a", "s1 s1 s1",
                        "--braid-b", "-s1 s1 s1 s1 s1")

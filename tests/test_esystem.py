@@ -45,6 +45,7 @@ def test_subset_normalization():
 def test_residuals_vanish_for_all_subsets(d):
     sols = enumerate_solutions(d)
     assert len(sols) == 2 ** d - 1
+    assert len({sol.x for sol in sols}) == len(sols)  # distinct D, distinct x
     for sol in sols:
         assert all(r.is_zero() for r in esystem_residual(sol.x))
 

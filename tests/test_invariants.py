@@ -80,6 +80,15 @@ def test_framed_jones_reduces_to_jones_at_d1():
         assert framed_jones(b, 1, (0,)).value == jones(b).value
 
 
+def test_framed_jones_refuses_the_empty_subset():
+    with pytest.raises(ValueError, match="non-empty"):
+        framed_jones(TREFOIL, 2, ())
+    with pytest.raises(ValueError, match="repeated"):
+        framed_jones(TREFOIL, 2, (0, 2))
+    with pytest.raises(ValueError, match="modulus"):
+        framed_jones(TREFOIL, 0, (0,))
+
+
 def test_framed_equals_classical_on_zero_framings():
     rng = random.Random(13)
     for d, D in ((2, (0,)), (2, (0, 1)), (3, (0, 2))):

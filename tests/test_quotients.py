@@ -14,10 +14,11 @@ from framelink.algebra import (
     quotient_generator,
     split_basis,
 )
-from framelink.esystem import enumerate_solutions, inverse_fourier
+from framelink.esystem import build_solution, enumerate_solutions, inverse_fourier
 from framelink.quotients import (
     KINDS,
     QuotientCheck,
+    _deep_scan,
     _generic_scan,
     _scan,
     admissible,
@@ -55,15 +56,16 @@ def test_rejects_wrong_xs_length():
 
 
 def test_rejects_small_n():
-    with pytest.raises(ValueError):
+    # the ideal criterion runs at n = 3 only; there is no n to pass
+    with pytest.raises(TypeError):
         QuotientCheck("ytl", 1, -1, n=2)
 
 
 def test_large_n_needs_flag():
-    with pytest.raises(ValueError):
-        trace_vanishes_on_ideal(QuotientCheck("ytl", 1, -1, n=4))
-    with pytest.raises(ValueError):
-        quotient_report(QuotientCheck("ytl", 1, -1, n=4))
+    with pytest.raises(TypeError):
+        QuotientCheck("ytl", 1, -1, n=4)
+    with pytest.raises(TypeError):
+        trace_vanishes_on_ideal(QuotientCheck("ytl", 1, -1), deep=True)
 
 
 def test_parameter_coercion():
@@ -109,6 +111,51 @@ def test_ytl_d2_census():
         zs = (Z_TL, RatFunc.const(-1)) if sol.size() == 1 else (RatFunc.const(-HALF),)
         for z in zs:
             assert both(QuotientCheck("ytl", 2, z, tuple(sol.x[1:])))
+
+
+def _ytl_by_search(check):
+    """YTL closed form as a literal search: x is one of the subset solutions
+    with |D| <= 2, and z is allowed for that |D|."""
+    allowed = {1: (Z_TL, -1), 2: (-HALF,)}
+    xs = (1,) + check.xs
+    return any(sol.size() <= 2
+               and any(check.zval == z for z in allowed[sol.size()])
+               and all(a == b for a, b in zip(xs, sol.x))
+               for sol in enumerate_solutions(check.d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ytl_fourier_decoder_matches_the_search(d):
+    # the closed form reads D off the Fourier transform; compare it with the
+    # search over every solution, at every solution and at seeded
+    # non-solutions, x integer or rational in u
+    rng = random.Random(5200 + d)
+    zs = (Z_TL, -1, -HALF, Fraction(1, 3), -(U + 2) ** -1)
+    points = [(z, tuple(sol.x[1:])) for sol in enumerate_solutions(d) for z in zs]
+    for _ in range(12):
+        xs = [rng.randint(-2, 2) for _ in range(d - 1)]
+        if xs and rng.random() < 0.5:
+            xs[rng.randrange(d - 1)] = U * (U + rng.randint(1, 3)) ** -1
+        points.append((rng.choice(zs), tuple(xs)))
+    if d > 1:
+        # support of size 2 with x_0 = 1, but y_k off the level d/2 on it
+        D = rng.choice([s.D for s in enumerate_solutions(d) if s.size() == 2])
+        y = [Fraction(d, 2) if k in D else 0 for k in range(d)]
+        y[D[0]] += HALF
+        y[D[1]] -= HALF
+        points.append((-HALF, inverse_fourier(y)[1:]))
+    verdicts = set()
+    for z, xs in points:
+        check = QuotientCheck("ytl", d, z, xs)
+        verdict = admissible(check)
+        assert verdict is _ytl_by_search(check), (z, xs)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_ytl_closed_form_past_the_enumeration_budget():
+    assert admissible(QuotientCheck("ytl", 9, -1, build_solution(9, (0,)).x[1:]))
+    assert not admissible(QuotientCheck("ytl", 9, -HALF, build_solution(9, (0,)).x[1:]))
 
 
 # -- ftl ---------------------------------------------------------------------
@@ -203,7 +250,7 @@ def test_ctl_d2_non_solution_points():
     QuotientCheck("ftl", 2, -HALF, (0,)),
 ], ids=["ytl1-pass", "ytl1-fail", "ytl2-fail", "ftl2-pass"])
 def test_deep_loop_agrees(check):
-    assert trace_vanishes_on_ideal(check, deep=True) == trace_vanishes_on_ideal(check)
+    assert (_deep_scan(check) is None) == trace_vanishes_on_ideal(check)
 
 
 def test_deep_pairs_spot_check_d3():
@@ -247,7 +294,7 @@ def test_witness_pair_is_genuine():
 
 
 def test_scan_keeps_a_basis():
-    sizes = {(kind, d): len(_generic_scan(kind, d, 3))
+    sizes = {(kind, d): len(_generic_scan(kind, d))
              for d, kinds in ((1, ("ytl", "ftl", "ctl")), (2, ("ytl", "ftl", "ctl")),
                               (3, ("ytl", "ftl")))
              for kind in kinds}
@@ -259,11 +306,11 @@ def test_scan_keeps_a_basis():
 def _literal_scan(check):
     """((a, b, value) or None) from tr(gen . c) over every split-basis word c
     in order, traced under the check's own parameters."""
-    gen = quotient_generator(check.kind, check.d, check.n, 1)
+    gen = quotient_generator(check.kind, check.d, 3, 1)
     tracer = Tracer(TraceParams(check.d, check.xs), z=check.zval)
-    unit_word = ((0,) * check.n, tuple(range(1, check.n + 1)))
-    for frm, perm in split_basis(check.d, check.n):
-        val = tracer.trace(gen * AlgebraElement.from_word(check.d, check.n, frm, perm))
+    unit_word = ((0,) * 3, (1, 2, 3))
+    for frm, perm in split_basis(check.d, 3):
+        val = tracer.trace(gen * AlgebraElement.from_word(check.d, 3, frm, perm))
         if not val.is_zero():
             return unit_word, (frm, perm), val
     return None
@@ -310,7 +357,7 @@ def _seeded_points(rng, kind, d):
 ], ids=["d1", "d2", "d3"])
 def test_basis_scan_matches_the_literal_scan(d, kinds):
     # the reduced scan gives the verdict and the witness of the unreduced one;
-    # deep=True also checks each verdict except a passing one at d = 2, which
+    # _deep_scan also checks each verdict except a passing one at d = 2, which
     # takes 15 s or more there (test_deep_loop_agrees runs one)
     rng = random.Random(3100 + d)
     for kind in kinds:
@@ -321,7 +368,7 @@ def test_basis_scan_matches_the_literal_scan(d, kinds):
             assert verdict is (witness is None)
             assert admissible(check) is verdict
             if d == 1 or (d == 2 and not verdict):
-                assert trace_vanishes_on_ideal(check, deep=True) is verdict
+                assert (_deep_scan(check) is None) is verdict
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
