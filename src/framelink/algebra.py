@@ -209,6 +209,21 @@ def split_basis(d: int, n: int) -> Iterator[BasisWord]:
             yield (frm, p)
 
 
+def basis_walk(elem: AlgebraElement) -> Iterator[tuple[BasisWord, AlgebraElement]]:
+    """(c, elem * c) for every split-basis word c, in split_basis order: each
+    framing block opens with elem * t^a, and elem * t^a g_w is
+    (elem * t^a g_{w'}) * g_i for the last letter i of reduced_word(w) and
+    w' = w s_i, which all_perms lists before w (s_i sorts a descent)."""
+    d, n = elem.d, elem.n
+    for frm, w in split_basis(d, n):
+        word = perms.reduced_word(w)
+        if word:
+            done[w] = done[perms.right_mul_s(w, word[-1])] * gen_g(d, n, word[-1])
+        else:  # the identity comes first in each framing block
+            done = {w: elem * AlgebraElement.from_word(d, n, frm, w)}
+        yield (frm, w), done[w]
+
+
 # ---------------------------------------------------------------------------
 # generators and named elements
 # ---------------------------------------------------------------------------

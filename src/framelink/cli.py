@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import __version__
 from .algebra import verify_relation
 from .braids import BraidWord, MarkovMove, apply_move, parse_braid, sigma
-from .esystem import build_solution, enumerate_solutions
+from .esystem import build_solution, check_modulus, enumerate_solutions
 from .invariants import (
     FAMILIES,
     InvariantRequest,
@@ -49,7 +49,7 @@ from .scalars import U, RatFunc
 
 CACHE_ENV = "FRAMELINK_CACHE"
 # Each step in d multiplies the cost of `verify --what quotients`: --d 3
-# takes ~28 s and --d 4 ~250 s (2 vCPU, Python 3.11), so --d is capped.
+# takes ~11 s and --d 4 ~72 s (2 vCPU, Python 3.11), so --d is capped.
 MAX_QUOTIENT_VERIFY_D = 3
 RELATION_NAMES = ("cubic", "cubic_factorization", "gipi", "quadratic_p",
                   "eta_relations", "bmw_quintic_factorization")
@@ -408,6 +408,8 @@ def _run_verify(args) -> int:
                                ("--samples", args.samples, 1)):
         if value is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
+    if args.d is not None:
+        check_modulus(args.d)
     suite = {"relations": _verify_relations, "skein": _verify_skein,
              "markov": _verify_markov, "quotients": _verify_quotients}[args.what]
     failures = suite(args)

@@ -48,10 +48,15 @@ class FourierData:
     support: tuple[int, ...]
 
 
+MAX_MODULUS = 32  # verify --what relations --d 32 takes ~14 s (2 vCPU)
+
+
 def check_modulus(d: int) -> None:
-    """Z/dZ needs d >= 1."""
+    """Z/dZ needs d >= 1, and d stays within the budget MAX_MODULUS."""
     if d < 1:
         raise ValueError(f"modulus d must be >= 1, got {d}")
+    if d > MAX_MODULUS:
+        raise ValueError(f"modulus d = {d} exceeds the budget of d <= {MAX_MODULUS}")
 
 
 def build_solution(d: int, D) -> ESolution:

@@ -20,7 +20,7 @@ shape with |D| <= 2 and z is -1/(u+1) or -1 for |D| = 1, -1/2 for
 z = -1/(|D_1| + (u+1)|D_2|) for the two blocks D_1, D_2 of the support.
 
 The quadratic blow-up of the pair loop is avoided by three exact reductions,
-each verified rather than assumed:
+each verified rather than assumed, and by walking the basis:
 
 * conjugation certificate: tr(c w) = tr(w c) is checked in generic mode
   for every basis word c and every algebra generator w; by induction on
@@ -41,6 +41,9 @@ each verified rather than assumed:
   verdict and the same witness as all d^3 3! words.  At n = 3 that keeps 1
   word at d = 1, 4 / 2 / 1 of 48 (YTL / FTL / CTL) at d = 2 and 10 / 3 of
   162 (YTL / FTL) at d = 3.
+* the products gen c come from algebra.basis_walk, each an earlier one times
+  one generator, so terms cancel at every step; it keeps split_basis order,
+  so the kept words and witnesses are those of the direct products.
 
 ideal_inclusion decides the chain of the three defining ideals without the
 pair loop either: it closes the span of one generator under multiplication
@@ -55,6 +58,7 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
+    basis_walk,
     gen_g,
     gen_t,
     idempotent_e,
@@ -119,14 +123,13 @@ def _generic_scan(kind: str, d: int) -> tuple:
     not in the span, over Q(zeta_d)(u), of the values of the words kept
     before it.
     """
-    gen = quotient_generator(kind, d, _N, 1)
     tracer = Tracer(TraceParams(d))
     span = _Echelon()
     out = []
-    for frm, perm in split_basis(d, _N):
-        value = tracer.trace(gen * AlgebraElement.from_word(d, _N, frm, perm))
+    for word, prod in basis_walk(quotient_generator(kind, d, _N, 1)):
+        value = tracer.trace(prod)
         if span.insert(_coordinates(value)) is not None:
-            out.append(((frm, perm), value))
+            out.append((word, value))
     return tuple(out)
 
 
@@ -160,16 +163,13 @@ def trace_vanishes_on_ideal(check: QuotientCheck) -> bool:
 
 
 def _deep_scan(check: QuotientCheck):
-    """Literal double loop, the reference for _scan (practical for d <= 2);
-    returns a witness (a, b, value) or None."""
+    """Literal double loop, the reference for _scan (a passing FTL point takes
+    ~6 s at d = 2, 2 vCPU); returns a witness (a, b, value) or None."""
     gen = quotient_generator(check.kind, check.d, _N, 1)
     tracer = Tracer(TraceParams(check.d, check.xs), z=check.zval)
-    words = list(split_basis(check.d, _N))
-    elems = [AlgebraElement.from_word(check.d, _N, f, p) for f, p in words]
-    for wa, a in zip(words, elems):
-        left = a * gen
-        for wb, b in zip(words, elems):
-            val = tracer.trace(left * b)
+    for wa in split_basis(check.d, _N):
+        for wb, prod in basis_walk(AlgebraElement.from_word(check.d, _N, *wa) * gen):
+            val = tracer.trace(prod)
             if not val.is_zero():
                 return wa, wb, val
     return None

@@ -8,6 +8,7 @@ import pytest
 from framelink import perms
 from framelink.algebra import (
     AlgebraElement,
+    basis_walk,
     gen_g,
     gen_t,
     idempotent_e,
@@ -157,6 +158,31 @@ def test_split_basis_size_and_determinism():
     assert len(words) == 2 ** 3 * 6
     assert words == list(split_basis(2, 3))
     assert len(set(words)) == len(words)
+
+
+def _direct(elem, word):
+    return elem * AlgebraElement.from_word(elem.d, elem.n, *word)
+
+
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("kind", ("ytl", "ftl", "ctl"))
+def test_basis_walk_matches_direct_products(kind, d):
+    gen = quotient_generator(kind, d, 3, 1)
+    assert list(basis_walk(gen)) == [(w, _direct(gen, w)) for w in split_basis(d, 3)]
+
+
+def test_basis_walk_matches_direct_products_d3_sample():
+    # the whole word sequence, and a seeded sample of its products, for each
+    # quotient generator and for a random element of Y_{3,3}(u)
+    rng = random.Random(7301)
+    elems = [quotient_generator(kind, 3, 3, 1) for kind in ("ytl", "ftl", "ctl")]
+    elems.append(random_element(rng, 3, 3, nwords=4))
+    words = list(split_basis(3, 3))
+    for elem in elems:
+        walked = list(basis_walk(elem))
+        assert [w for w, _ in walked] == words
+        for k in rng.sample(range(len(words)), 20):
+            assert walked[k][1] == _direct(elem, words[k]), words[k]
 
 
 # -- named relations --------------------------------------------------------

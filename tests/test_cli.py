@@ -8,6 +8,7 @@ import pytest
 
 from framelink.braids import parse_braid
 from framelink.cli import _cache_key, build_parser, cache_get, cache_put, main
+from framelink.esystem import MAX_MODULUS
 from framelink.invariants import homflypt
 
 
@@ -277,6 +278,29 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, "verify", "--what", what, flag, value)
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert flag in err
+
+
+def test_modulus_budget(tmp_path, capsys):
+    # every --d path reaches the one modulus budget and ends at once with
+    # one line naming it; without it the first three ran for minutes
+    big = str(MAX_MODULUS + 1)
+    src = tmp_path / "braids.txt"
+    src.write_text("s1\n")
+    for argv in (("invariant", "--family", "framed", "--d", "100000",
+                  "--subset", "0", "--braid", "n=2 s1"),
+                 ("esystem", "--d", "4096", "--subset", "0"),
+                 ("esystem", "--d", big),
+                 ("verify", "--what", "relations", "--d", "4096"),
+                 ("verify", "--what", "markov", "--d", big),
+                 ("framed-jones", "--d", big, "--braid", "s1"),
+                 ("compare", "--family", "framed", "--d", big,
+                  "--braid-a", "s1", "--braid-b", "s1"),
+                 ("batch", "--file", str(src), "--family", "framed", "--d", big)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert f"budget of d <= {MAX_MODULUS}" in err, argv
+    code, out, _ = run(capsys, "esystem", "--d", str(MAX_MODULUS), "--subset", "0")
+    assert code == 0 and "1 solution(s)" in out
 
 
 def test_missing_argument_exits_2():

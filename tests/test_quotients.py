@@ -1,6 +1,7 @@
 """Quotient trace-passing: closed forms against the ideal-vanishing scan,
 and the inclusion chain of the three defining ideals."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -384,6 +385,32 @@ def test_report_failing_has_witness():
     assert set(wit) == {"a", "b", "value"}
     assert all(isinstance(v, str) and v for v in wit.values())
     assert wit["value"] != "0"
+
+
+@pytest.mark.parametrize("check,text", [
+    (QuotientCheck("ytl", 2, -2 * (U + 1) ** -1, (0,)),
+     '{"d": 2, "kind": "ytl", "params": {"x": ["0"], "z": "-2/(u + 1)"}, '
+     '"verdict": false, "witness": {"a": "1", "b": "g2", '
+     '"value": "(-1/2*u^2 + 2*u - 3/2)/(u + 1)"}}'),
+    (QuotientCheck("ftl", 2, 5, (1,)),
+     '{"d": 2, "kind": "ftl", "params": {"x": ["1"], "z": "5"}, '
+     '"verdict": false, "witness": {"a": "1", "b": "1", "value": "30*u + 36"}}'),
+    (QuotientCheck("ctl", 2, -HALF, (1,)),
+     '{"d": 2, "kind": "ctl", "params": {"x": ["1"], "z": "-1/2"}, '
+     '"verdict": false, "witness": {"a": "1", "b": "1", "value": "-2*u + 2"}}'),
+    (QuotientCheck("ytl", 3, -1, (-1, -1)),
+     '{"d": 3, "kind": "ytl", "params": {"x": ["-1", "-1"], "z": "-1"}, '
+     '"verdict": false, "witness": {"a": "1", "b": "g1*g2", '
+     '"value": "-4/9*u^2 + 8/9*u - 4/9"}}'),
+    (QuotientCheck("ftl", 3, 0, (0, -1)),
+     '{"d": 3, "kind": "ftl", "params": {"x": ["0", "-1"], "z": "0"}, '
+     '"verdict": false, "witness": {"a": "1", "b": "t3", "value": "1/3"}}'),
+], ids=["ytl2", "ftl2", "ctl2", "ytl3", "ftl3"])
+def test_report_bytes_pinned(check, text):
+    # the witness is the first failing kept word in split-basis order; three
+    # of these points vanish on the unit word, so a scan that visits the
+    # words in another order reports another witness
+    assert json.dumps(quotient_report(check), sort_keys=True) == text
 
 
 def test_report_passing_has_no_witness():
