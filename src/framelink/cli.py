@@ -49,7 +49,7 @@ from .scalars import U, RatFunc
 
 CACHE_ENV = "FRAMELINK_CACHE"
 # Each step in d multiplies the cost of `verify --what quotients`: --d 3
-# takes ~11 s and --d 4 ~72 s (2 vCPU, Python 3.11), so --d is capped.
+# takes ~5-6 s and --d 4 ~28 s (2 vCPU, Python 3.11), so --d is capped.
 MAX_QUOTIENT_VERIFY_D = 3
 RELATION_NAMES = ("cubic", "cubic_factorization", "gipi", "quadratic_p",
                   "eta_relations", "bmw_quintic_factorization")
@@ -64,20 +64,21 @@ def _cache_key(command: str, family: str, d: int, D, braid_text: str) -> dict:
 
 
 def cache_get(path: str, key: dict):
-    """Last record with this exact key, or None; I/O trouble is not fatal."""
+    """Last record with this exact key, or None; cache trouble is not fatal.
+    A line that is torn, not UTF-8, not JSON, or not a record whose value is
+    an object with a string "value" is skipped."""
     try:
         hit = None
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
+                    rec = json.loads(line.decode("utf-8"))
+                except ValueError:  # UnicodeDecodeError is one too
                     continue
-                if rec.get("key") == key:
-                    hit = rec.get("value")
+                if isinstance(rec, dict) and rec.get("key") == key:
+                    value = rec.get("value")
+                    if isinstance(value, dict) and isinstance(value.get("value"), str):
+                        hit = value
         return hit
     except FileNotFoundError:
         return None

@@ -164,7 +164,7 @@ def trace_vanishes_on_ideal(check: QuotientCheck) -> bool:
 
 def _deep_scan(check: QuotientCheck):
     """Literal double loop, the reference for _scan (a passing FTL point takes
-    ~6 s at d = 2, 2 vCPU); returns a witness (a, b, value) or None."""
+    ~3.5 s at d = 2, 2 vCPU); returns a witness (a, b, value) or None."""
     gen = quotient_generator(check.kind, check.d, _N, 1)
     tracer = Tracer(TraceParams(check.d, check.xs), z=check.zval)
     for wa in split_basis(check.d, _N):

@@ -22,6 +22,14 @@ Four layers, none of which ever touches floating point:
 * ``HalfPowerValue`` -- r * L^(h/2) for a fixed rational function L and
   h in {0, 1}; integer powers of L are always folded into r.
 
+A normalized ``RatFunc`` with a constant denominator holds the shared
+``_POLY_ONE``, so products and sums of polynomials (most of the engine's
+work) skip normalization by an identity test.  ``Cyclotomic`` and ``Poly``
+arithmetic builds its results through ``_make``, which trusts its input
+but keeps the canonical form: no stored zero ``Poly`` coefficient, and
+conductor 1 for a value with zero irrational part.  The public
+constructors validate outside input before they call it.
+
 One power routine, ``_power``, serves every type (algebra elements too);
 one Euclid on dense coefficient lists, ``_uni_divmod``, serves the
 cyclotomic polynomials, ``Cyclotomic.inverse`` and the univariate gcd; and
@@ -151,15 +159,24 @@ class Cyclotomic:
 
     __slots__ = ("m", "c")
 
-    def __init__(self, m: int, coeffs: Iterable[Fraction]):
+    def __new__(cls, m: int, coeffs: Iterable[Fraction]):
         coeffs = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
         deg = len(cyclotomic_polynomial(m)) - 1
         if len(coeffs) != deg:
             raise ValueError(f"conductor {m} needs {deg} coefficients, got {len(coeffs)}")
+        return Cyclotomic._make(m, coeffs)
+
+    @staticmethod
+    def _make(m: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
+        """The builder behind the constructor and the arithmetic: coeffs is a
+        Fraction tuple of the right length; a value with zero irrational part
+        is demoted to m = 1."""
         if m > 1 and not any(coeffs[1:]):
             m, coeffs = 1, coeffs[:1]
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", coeffs)
+        out = object.__new__(Cyclotomic)
+        object.__setattr__(out, "m", m)
+        object.__setattr__(out, "c", coeffs)
+        return out
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("Cyclotomic is immutable")
@@ -217,12 +234,12 @@ class Cyclotomic:
     def __add__(self, other) -> "Cyclotomic":
         other = _as_cyclotomic(other)
         m, ca, cb = self._pair(other)
-        return Cyclotomic(m, tuple(x + y for x, y in zip(ca, cb)))
+        return Cyclotomic._make(m, tuple(x + y for x, y in zip(ca, cb)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.m, tuple(-x for x in self.c))
+        return Cyclotomic._make(self.m, tuple(-x for x in self.c))
 
     def __sub__(self, other) -> "Cyclotomic":
         return self + (-_as_cyclotomic(other))
@@ -234,7 +251,7 @@ class Cyclotomic:
         other = _as_cyclotomic(other)
         m, ca, cb = self._pair(other)
         if m == 1:
-            return Cyclotomic(1, (ca[0] * cb[0],))
+            return Cyclotomic._make(1, (ca[0] * cb[0],))
         prod = [Fraction(0)] * (2 * len(ca) - 1)
         for i, x in enumerate(ca):
             if x:
@@ -242,7 +259,7 @@ class Cyclotomic:
                     if y:
                         prod[i + j] += x * y
         _reduce_in_place(m, prod, len(ca))
-        return Cyclotomic(m, prod)
+        return Cyclotomic._make(m, tuple(prod))
 
     __rmul__ = __mul__
 
@@ -329,6 +346,7 @@ Mono = tuple[tuple[str, int], ...]  # ((var, exp), ...) sorted by variable rank
 _MONO_ONE: Mono = ()
 
 
+@functools.lru_cache(maxsize=None)
 def _var_rank(name: str):
     if name == "u":
         return (0, 0, "")
@@ -387,9 +405,16 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Mono, Cyclotomic] | None = None):
-        clean = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
-        object.__setattr__(self, "terms", clean)
+    def __new__(cls, terms: Mapping[Mono, Cyclotomic] | None = None):
+        return Poly._make({m: c for m, c in (terms or {}).items() if not c.is_zero()})
+
+    @staticmethod
+    def _make(terms: dict[Mono, Cyclotomic]) -> "Poly":
+        """The builder behind the constructor and the arithmetic: terms must
+        hold no zero coefficient."""
+        out = object.__new__(Poly)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("Poly is immutable")
@@ -454,10 +479,10 @@ class Poly:
                     del out[m]
                 else:
                     out[m] = s
-        return Poly(out)
+        return Poly._make(out)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._make({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -467,7 +492,7 @@ class Poly:
             k = _as_cyclotomic(other)
             if k.is_zero():
                 return _POLY_ZERO
-            return Poly({m: c * k for m, c in self.terms.items()})
+            return Poly._make({m: c * k for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.terms or not other.terms:
@@ -483,7 +508,7 @@ class Poly:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        return Poly(out)
+        return Poly._make(out)
 
     __rmul__ = __mul__
 
@@ -678,7 +703,13 @@ class RatFunc:
         other = RatFunc.const(other)
         if self.is_zero() or other.is_zero():
             return RATFUNC_ZERO
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if self.den is _POLY_ONE:
+            den = other.den
+        elif other.den is _POLY_ONE:
+            den = self.den
+        else:
+            den = self.den * other.den
+        return RatFunc(self.num * other.num, den)
 
     __rmul__ = __mul__
 
@@ -742,6 +773,8 @@ class RatFunc:
 
 
 def _ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    if den is _POLY_ONE:
+        return num, den
     # cancel a common monomial factor
     cn, cd = _mono_content(num), _mono_content(den)
     common = {v: min(e, cd[v]) for v, e in cn.items() if v in cd}

@@ -168,6 +168,26 @@ def test_cache_put_ends_a_torn_line(tmp_path):
     assert path.read_text().splitlines()[0] == '{"key": {"command": "jon'
 
 
+_JONES_KEY = _cache_key("jones", "classical", 1, (0,), "s1 s1 s1")
+
+
+@pytest.mark.parametrize("content", [
+    b"[1, 2]\n",
+    b'"x"\n',
+    json.dumps({"key": _JONES_KEY, "value": "oops"}).encode() + b"\n",
+    json.dumps({"key": _JONES_KEY, "value": {"n": 2}}).encode() + b"\n",
+    b'\x80\x81{"key": 1}\n',
+], ids=["list", "string", "value-not-object", "value-without-value", "not-utf8"])
+def test_cache_lines_that_are_not_records_are_skipped(tmp_path, capsys, content):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(content)
+    for extra in ((), ("--json",)):
+        argv = ("jones", "--braid", "s1 s1 s1", *extra)
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        assert run(capsys, *argv, "--cache", str(path))[:2] == expected[:2]
+
+
 def test_cache_concurrent_writers(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     keys = [[_cache_key("jones", "classical", 1, (0,), f"w{w} {i}")

@@ -359,7 +359,7 @@ def _seeded_points(rng, kind, d):
 def test_basis_scan_matches_the_literal_scan(d, kinds):
     # the reduced scan gives the verdict and the witness of the unreduced one;
     # _deep_scan also checks each verdict except a passing one at d = 2, which
-    # takes 15 s or more there (test_deep_loop_agrees runs one)
+    # takes ~3.5 s each there (test_deep_loop_agrees runs one)
     rng = random.Random(3100 + d)
     for kind in kinds:
         verdicts = set()

@@ -17,6 +17,7 @@ from framelink.scalars import (
     x_var,
     U,
     Z,
+    _POLY_ONE,
     _uni_poly_gcd,
 )
 from framelink.invariants import lambda_d
@@ -237,6 +238,75 @@ def test_uni_poly_gcd(m):
 def test_negative_powers():
     assert U ** -2 * U ** 2 == RatFunc.const(1)
     assert (U / Z) ** -1 == Z / U
+
+
+# -- canonical-form invariants the arithmetic relies on -----------------------
+
+
+def _random_poly(rng, m, terms):
+    """A polynomial in u, z, x1 with ``terms`` terms over Q(zeta_m)."""
+    p = Poly.zero()
+    for _ in range(terms):
+        mono = Poly.const(_random_cyclotomic(rng, m))
+        for v in ("u", "z", "x1"):
+            mono = mono * Poly.variable(v, rng.randint(0, 2))
+        p = p + mono
+    return p
+
+
+def test_unit_denominator_arithmetic_keeps_the_shared_one():
+    rng = random.Random(4242)
+    for _ in range(60):
+        a, b = (RatFunc(_random_poly(rng, rng.choice((1, 3)), rng.randint(1, 4)))
+                for _ in range(2))
+        assert a.den is _POLY_ONE and b.den is _POLY_ONE
+        prod, total = a * b, a + b
+        # the reference goes through the general path: a.den * b.den is a new
+        # Poly equal to 1, not the shared _POLY_ONE
+        ref_prod = RatFunc(a.num * b.num, a.den * b.den)
+        ref_total = RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+        assert prod.den is _POLY_ONE and prod.num == ref_prod.num
+        assert total.den is _POLY_ONE
+        assert total.num == ref_total.num and total.den == ref_total.den
+        # one unit side against a general denominator
+        g = b / (U + 2) / U ** rng.randint(0, 2) if not b.is_zero() else b
+        mixed = RatFunc(a.num * g.num, a.den * g.den)
+        assert (a * g).num == mixed.num and (a * g).den == mixed.den
+        assert (g * a).num == mixed.num and (g * a).den == mixed.den
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 12])
+def test_cancelled_irrational_part_has_conductor_one(m):
+    rng = random.Random(900 + m)
+    zeta = Cyclotomic.root_of_unity(m)
+    for _ in range(20):
+        q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        w = _random_cyclotomic(rng, m)
+        k = rng.randint(1, m - 1)
+        rat = Cyclotomic.from_rational(q)
+        for val in ((rat + w) - w, w + rat + (-w), -(w - rat - w),
+                    zeta ** k * zeta ** (m - k) * q):
+            assert val.m == 1
+            assert val == rat and hash(val) == hash(rat)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_poly_results_store_no_zero_coefficient(d):
+    rng = random.Random(70 + d)
+
+    def clean(p):
+        return all(not c.is_zero() for c in p.terms.values())
+
+    for _ in range(40):
+        p = _random_poly(rng, d, rng.randint(1, 4))
+        r = _random_poly(rng, d, rng.randint(1, 2))
+        q = r - p  # shares p's monomials with opposite coefficients
+        results = [p + q, q + p, p - p, -(p - r), p * q - q * p,
+                   (p + q) * p - r * p, p * Cyclotomic.from_rational(0)]
+        for res in results:
+            assert clean(res)
+            assert res == Poly(res.terms)
+        assert p + q == r and (p - p).is_zero() and (p * q - q * p).is_zero()
 
 
 # -- rendering and parsing --------------------------------------------------
