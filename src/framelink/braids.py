@@ -174,7 +174,7 @@ _TOKEN = re.compile(
     r"^(?:(?P<header>n=(?P<n>\d+))|(?P<neg>-)?s(?P<si>\d+)|t(?P<tj>\d+)(?:\^(?P<tk>-?\d+))?|x(?P<xi>\d+))$")
 
 
-def parse_braid(text: str, n: int | None = None, kind: str | None = None) -> BraidWord:
+def parse_braid(text: str) -> BraidWord:
     """Parse the token grammar; inverse of ``BraidWord.render``."""
     letters: list[Letter] = []
     header_n = None
@@ -193,11 +193,7 @@ def parse_braid(text: str, n: int | None = None, kind: str | None = None) -> Bra
             letters.append(("t", int(m.group("tj")), k))
         else:
             letters.append(("x", int(m.group("xi"))))
-    if header_n is not None:
-        if n is not None and n != header_n:
-            raise ValueError(f"explicit n={n} conflicts with header n={header_n}")
-        n = header_n
-    return BraidWord(letters, n=n, kind=kind)
+    return BraidWord(letters, n=header_n)
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,9 @@ def _parse_subset(text: str):
     return tuple(int(p) for p in text.split(","))
 
 
-def _add_braid_opts(sub, braid_flags=("--braid",)):
-    for flag in braid_flags:
-        sub.add_argument(flag, required=True,
-                         help='braid word, e.g. "s1 s1 s1" or "t2^3 -s1 x2"')
+def _add_braid_opts(sub):
+    sub.add_argument("--braid", required=True,
+                     help='braid word, e.g. "s1 s1 s1" or "t2^3 -s1 x2"')
     sub.add_argument("--cache", help=f"JSON-lines cache path (default ${CACHE_ENV})")
     sub.add_argument("--json", action="store_true", help="emit the JSON record")
 
@@ -201,12 +200,12 @@ def _run_esystem(args) -> int:
         sols = enumerate_solutions(args.d)
     if args.json:
         out = {"d": args.d, "solutions": [
-            {"D": list(s.D), "x": [v.render() for v in s.x]} for s in sols]}
+            {"D": list(s.D), "x": [str(v) for v in s.x]} for s in sols]}
         print(json.dumps(out, sort_keys=True))
     else:
         print(f"d={args.d}: {len(sols)} solution(s)")
         for s in sols:
-            xs = ", ".join(v.render() for v in s.x)
+            xs = ", ".join(str(v) for v in s.x)
             print("D={" + ",".join(str(k) for k in s.D) + "}  x = (" + xs + ")")
     return 0
 

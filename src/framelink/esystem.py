@@ -22,12 +22,11 @@ def _lift(values: Sequence) -> list:
     """Coerce a mixed vector into a single arithmetic domain.
 
     Any RatFunc entry promotes the whole vector to RatFunc; otherwise
-    entries live in the cyclotomic field.
+    entries live in the cyclotomic field, rationals as Fractions.
     """
     if any(isinstance(v, RatFunc) for v in values):
         return [RatFunc.const(v) for v in values]
-    return [v if isinstance(v, Cyclotomic) else Cyclotomic.from_rational(v)
-            for v in values]
+    return [v if isinstance(v, Cyclotomic) else Fraction(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class ESolution:
 
     d: int
     D: tuple[int, ...]
-    x: tuple[Cyclotomic, ...]
+    x: tuple[Fraction | Cyclotomic, ...]
 
     def size(self) -> int:
         return len(self.D)
@@ -69,12 +68,12 @@ def build_solution(d: int, D) -> ESolution:
     inv = Fraction(1, len(subset))
     x = []
     for m in range(d):
-        acc = Cyclotomic.from_rational(0)
+        acc = Fraction(0)
         for k in subset:
             acc = acc + Cyclotomic.root_of_unity(d, (k * m) % d)
         x.append(acc * inv)
     sol = ESolution(d, subset, tuple(x))
-    bad = [r for r in esystem_residual(sol.x) if not r.is_zero()]
+    bad = [r for r in esystem_residual(sol.x) if r != 0]
     if bad:
         raise AssertionError(f"subset average failed the E-system: {bad}")
     return sol
@@ -132,7 +131,7 @@ def _dft(values: Sequence, sign: int) -> list:
 def fourier_transform(x: Sequence) -> FourierData:
     """y_k = sum_m x_m zeta_d^{-km}; support is where y is nonzero."""
     y = tuple(_dft(x, -1))
-    return FourierData(y, tuple(k for k, v in enumerate(y) if not v.is_zero()))
+    return FourierData(y, tuple(k for k, v in enumerate(y) if v != 0))
 
 
 def inverse_fourier(y: Sequence) -> tuple:

@@ -48,14 +48,12 @@ def lambda_d(d: int, sizeD: int) -> RatFunc:
 
 @dataclass(frozen=True)
 class InvariantRequest:
-    """What to evaluate: a braid, a family, the solution subset, and
-    optionally a z specialization (None keeps z formal)."""
+    """What to evaluate: a braid, a family and the solution subset."""
 
     braid: BraidWord
     family: str
     d: int
     D: tuple[int, ...] = (0,)
-    zval: RatFunc | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -108,8 +106,6 @@ def invariant(req: InvariantRequest) -> InvariantValue:
     n, eps = req.braid.n, req.braid.epsilon()
     lam = lambda_d(req.d, sol.size())
     val = HalfPowerValue(t * Z ** (-(n - 1)), eps - (n - 1), lam)
-    if req.zval is not None:
-        val = val.substitute({"z": req.zval})
     return InvariantValue(val, req.family, req.d, sol.D, n, eps)
 
 
@@ -118,8 +114,10 @@ def homflypt(b: BraidWord) -> InvariantValue:
 
 
 def jones(b: BraidWord) -> InvariantValue:
+    """Homflypt at z = -1/(u+1)."""
+    val = invariant(InvariantRequest(b, "classical", 1, (0,)))
     zval = RatFunc.const(-1) / (U + 1)
-    return invariant(InvariantRequest(b, "classical", 1, (0,), zval=zval))
+    return replace(val, value=val.value.substitute({"z": zval}))
 
 
 def framed_jones(b: BraidWord, d: int, D) -> InvariantValue:

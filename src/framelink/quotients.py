@@ -213,10 +213,9 @@ def _ytl_admissible(check: QuotientCheck) -> bool:
 def _ftl_admissible(check: QuotientCheck) -> bool:
     d, z = check.d, check.zval
     ft = fourier_transform((1,) + check.xs)
-    y = [RatFunc.const(v) for v in ft.y]
     neg_dz = RatFunc.const(-d) * z
-    d1 = [k for k in range(d) if y[k] == neg_dz]
-    d2 = [k for k in range(d) if y[k] == neg_dz * (U + 1)]
+    d1 = [k for k in range(d) if ft.y[k] == neg_dz]
+    d2 = [k for k in range(d) if ft.y[k] == neg_dz * (U + 1)]
     if set(d1) & set(d2):
         return False
     if tuple(sorted(d1 + d2)) != ft.support:

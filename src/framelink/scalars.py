@@ -2,15 +2,14 @@
 
 Four layers, none of which ever touches floating point:
 
-* ``Cyclotomic`` -- elements of Q(zeta_m) as coefficient vectors modulo the
-  m-th cyclotomic polynomial, with ``fractions.Fraction`` entries.  m = 1 is
-  plain Q.  Values that turn out rational are demoted to conductor 1, so a
-  rational number has one canonical representation regardless of how it was
-  produced.
-* ``Poly`` -- sparse multivariate polynomials with Cyclotomic coefficients,
-  keyed by exponent tuples.  The variable order is fixed (u, z, x1, x2, ...,
-  then anything else alphabetically) and rendering is graded lexicographic,
-  so output is deterministic.
+* ``Cyclotomic`` -- irrational elements of Q(zeta_m) as coefficient vectors
+  modulo the m-th cyclotomic polynomial, with ``fractions.Fraction`` entries.
+  A rational number is a plain ``Fraction``: a result whose irrational part
+  vanishes comes back as one, however it was produced.
+* ``Poly`` -- sparse multivariate polynomials with ``Fraction`` or
+  ``Cyclotomic`` coefficients, keyed by exponent tuples.  The variable order
+  is fixed (u, z, x1, x2, ..., then anything else alphabetically) and
+  rendering is graded lexicographic, so output is deterministic.
 * ``RatFunc`` -- quotients of polynomials.  Equality is decided by
   cross-multiplication, so correctness never depends on cancellation; light
   normalization keeps representations small.  A common monomial factor is
@@ -26,9 +25,11 @@ A normalized ``RatFunc`` with a constant denominator holds the shared
 ``_POLY_ONE``, so products and sums of polynomials (most of the engine's
 work) skip normalization by an identity test.  ``Cyclotomic`` and ``Poly``
 arithmetic builds its results through ``_make``, which trusts its input
-but keeps the canonical form: no stored zero ``Poly`` coefficient, and
-conductor 1 for a value with zero irrational part.  The public
-constructors validate outside input before they call it.
+but keeps the canonical form: no stored zero ``Poly`` coefficient, and a
+``Fraction`` for a value with zero irrational part.  The public
+constructors validate outside input before they call it; ``_as_coeff``
+turns an ``int`` coefficient into a ``Fraction`` and refuses any other
+type, floats included.
 
 One power routine, ``_power``, serves every type (algebra elements too);
 one Euclid on dense coefficient lists, ``_uni_divmod``, serves the
@@ -155,7 +156,13 @@ def _reduce_in_place(m: int, vec: list[Fraction], deg: int) -> None:
 
 
 class Cyclotomic:
-    """An element of Q(zeta_m), m the conductor; m = 1 is plain Q."""
+    """An irrational element of Q(zeta_m), m the conductor.
+
+    Rational values are plain ``Fraction``s: the builder returns one
+    whenever the irrational part vanishes.  The operators take ``int`` and
+    ``Fraction`` operands directly, so mixed arithmetic with a Fraction on
+    the left goes through the reflected operators.
+    """
 
     __slots__ = ("m", "c")
 
@@ -167,12 +174,12 @@ class Cyclotomic:
         return Cyclotomic._make(m, coeffs)
 
     @staticmethod
-    def _make(m: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
+    def _make(m: int, coeffs: tuple[Fraction, ...]) -> "Fraction | Cyclotomic":
         """The builder behind the constructor and the arithmetic: coeffs is a
         Fraction tuple of the right length; a value with zero irrational part
-        is demoted to m = 1."""
-        if m > 1 and not any(coeffs[1:]):
-            m, coeffs = 1, coeffs[:1]
+        is returned as its Fraction."""
+        if not any(coeffs[1:]):
+            return coeffs[0]
         out = object.__new__(Cyclotomic)
         object.__setattr__(out, "m", m)
         object.__setattr__(out, "c", coeffs)
@@ -181,31 +188,14 @@ class Cyclotomic:
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("Cyclotomic is immutable")
 
-    # -- constructors -------------------------------------------------------
-
     @staticmethod
-    def from_rational(q) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(q),))
-
-    @staticmethod
-    def root_of_unity(m: int, k: int = 1) -> "Cyclotomic":
+    def root_of_unity(m: int, k: int = 1) -> "Fraction | Cyclotomic":
         """zeta_m^k."""
         if m < 1:
             raise ValueError("conductor must be positive")
         return Cyclotomic(m, _power_vector(m, k % m))
 
     # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.c)
-
-    def is_rational(self) -> bool:
-        return self.m == 1
-
-    def as_rational(self) -> Fraction:
-        if self.m != 1:
-            raise ValueError(f"{self!r} is not rational")
-        return self.c[0]
 
     def _coeffs_at(self, m2: int) -> tuple[Fraction, ...]:
         """Raw coefficient vector of this value embedded in Q(zeta_m2)."""
@@ -231,27 +221,33 @@ class Cyclotomic:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other) -> "Cyclotomic":
-        other = _as_cyclotomic(other)
-        m, ca, cb = self._pair(other)
-        return Cyclotomic._make(m, tuple(x + y for x, y in zip(ca, cb)))
+    def __add__(self, other):
+        if isinstance(other, Cyclotomic):
+            m, ca, cb = self._pair(other)
+            return Cyclotomic._make(m, tuple(x + y for x, y in zip(ca, cb)))
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic._make(self.m, (self.c[0] + other,) + self.c[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
         return Cyclotomic._make(self.m, tuple(-x for x in self.c))
 
-    def __sub__(self, other) -> "Cyclotomic":
-        return self + (-_as_cyclotomic(other))
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return self + (-other)
+        return NotImplemented
 
-    def __rsub__(self, other) -> "Cyclotomic":
-        return _as_cyclotomic(other) + (-self)
+    def __rsub__(self, other):
+        return -self + other
 
-    def __mul__(self, other) -> "Cyclotomic":
-        other = _as_cyclotomic(other)
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic._make(self.m, tuple(x * other for x in self.c))
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
         m, ca, cb = self._pair(other)
-        if m == 1:
-            return Cyclotomic._make(1, (ca[0] * cb[0],))
         prod = [Fraction(0)] * (2 * len(ca) - 1)
         for i, x in enumerate(ca):
             if x:
@@ -264,10 +260,6 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic")
-        if self.m == 1:
-            return Cyclotomic(1, (1 / self.c[0],))
         # extended Euclid: maintain r_i = s_i*self (mod Phi); Phi irreducible,
         # so the last nonzero remainder is a constant
         phi = list(cyclotomic_polynomial(self.m))
@@ -284,33 +276,39 @@ class Cyclotomic:
         _reduce_in_place(self.m, inv, len(self.c))
         return Cyclotomic(self.m, inv[: len(self.c)])
 
-    def __truediv__(self, other) -> "Cyclotomic":
-        return self * _as_cyclotomic(other).inverse()
+    def __truediv__(self, other):
+        if isinstance(other, Cyclotomic):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)
+        return NotImplemented
 
-    def __rtruediv__(self, other) -> "Cyclotomic":
-        return _as_cyclotomic(other) * self.inverse()
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
-    def __pow__(self, e: int) -> "Cyclotomic":
+    def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        return _power(self, e, _CYC_ONE)
+        return _power(self, e, Fraction(1))
 
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Cyclotomic):
+            _, ca, cb = self._pair(other)
+            return ca == cb
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        _, ca, cb = self._pair(other)
-        return ca == cb
+            return False  # a Cyclotomic is never rational
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.m, self.c))
+        # Equal values can have different conductors (zeta6^2 == zeta3), and
+        # a hash that agrees with __eq__ would need each value's least
+        # conductor.  Nothing hashes Cyclotomics on a hot path, so all of
+        # them share one hash; a Cyclotomic never equals a rational.
+        return hash(Cyclotomic)
 
     def render(self) -> str:
-        if self.m == 1:
-            return str(self.c[0])
         parts = []
         for j, cj in enumerate(self.c):
             if not cj:
@@ -321,22 +319,25 @@ class Cyclotomic:
                 head = "" if cj == 1 else ("-" if cj == -1 else f"{cj}*")
                 power = f"zeta{self.m}" if j == 1 else f"zeta{self.m}^{j}"
                 parts.append(head + power)
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        return " + ".join(parts).replace("+ -", "- ")
+
+    __str__ = render
 
     def __repr__(self):
         return f"Cyclotomic({self.render()})"
 
 
-def _as_cyclotomic(x) -> Cyclotomic:
-    if isinstance(x, Cyclotomic):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Cyclotomic.from_rational(x)
-    raise TypeError(f"cannot coerce {x!r} to a cyclotomic number")
+Coeff = Union[Fraction, Cyclotomic]
 
 
-_CYC_ZERO = Cyclotomic.from_rational(0)
-_CYC_ONE = Cyclotomic.from_rational(1)
+def _as_coeff(c) -> Coeff:
+    """A Poly coefficient from public input: an int becomes a Fraction."""
+    if type(c) is Fraction or type(c) is Cyclotomic:
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"cannot use {c!r} as an exact polynomial coefficient")
+
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -405,11 +406,12 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __new__(cls, terms: Mapping[Mono, Cyclotomic] | None = None):
-        return Poly._make({m: c for m, c in (terms or {}).items() if not c.is_zero()})
+    def __new__(cls, terms: Mapping[Mono, Coeff] | None = None):
+        coerced = ((m, _as_coeff(c)) for m, c in (terms or {}).items())
+        return Poly._make({m: c for m, c in coerced if c})
 
     @staticmethod
-    def _make(terms: dict[Mono, Cyclotomic]) -> "Poly":
+    def _make(terms: dict[Mono, Coeff]) -> "Poly":
         """The builder behind the constructor and the arithmetic: terms must
         hold no zero coefficient."""
         out = object.__new__(Poly)
@@ -427,7 +429,7 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly({_MONO_ONE: _as_cyclotomic(c)})
+        return Poly({_MONO_ONE: c})
 
     @staticmethod
     def variable(name: str, exp: int = 1) -> "Poly":
@@ -435,7 +437,7 @@ class Poly:
             raise ValueError("polynomial variables need nonnegative exponents")
         if exp == 0:
             return Poly.const(1)
-        return Poly({((name, exp),): _CYC_ONE})
+        return Poly._make({((name, exp),): Fraction(1)})
 
     # -- structure ----------------------------------------------------------
 
@@ -445,9 +447,9 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _MONO_ONE in self.terms)
 
-    def constant_value(self) -> Cyclotomic:
+    def constant_value(self) -> Coeff:
         if self.is_zero():
-            return _CYC_ZERO
+            return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self.terms[_MONO_ONE]
@@ -455,7 +457,7 @@ class Poly:
     def variables(self) -> set[str]:
         return {v for mono in self.terms for v, _ in mono}
 
-    def leading(self) -> tuple[Mono, Cyclotomic]:
+    def leading(self) -> tuple[Mono, Coeff]:
         mono = min(self.terms, key=_mono_key)
         return mono, self.terms[mono]
 
@@ -475,10 +477,10 @@ class Poly:
                 out[m] = c
             else:
                 s = prev + c
-                if s.is_zero():
-                    del out[m]
-                else:
+                if s:
                     out[m] = s
+                else:
+                    del out[m]
         return Poly._make(out)
 
     def __neg__(self) -> "Poly":
@@ -489,25 +491,25 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            k = _as_cyclotomic(other)
-            if k.is_zero():
+            k = _as_coeff(other)
+            if not k:
                 return _POLY_ZERO
             return Poly._make({m: c * k for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.terms or not other.terms:
             return _POLY_ZERO
-        out: dict[Mono, Cyclotomic] = {}
+        out: dict[Mono, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
                 prev = out.get(m)
                 s = c if prev is None else prev + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
+                if s:
                     out[m] = s
+                else:
+                    out.pop(m, None)
         return Poly._make(out)
 
     __rmul__ = __mul__
@@ -524,7 +526,7 @@ class Poly:
         if self.is_zero():
             return _POLY_ZERO
         dm, dc = divisor.leading()
-        quot: dict[Mono, Cyclotomic] = {}
+        quot: dict[Mono, Coeff] = {}
         rem = self
         while not rem.is_zero():
             rm, rc = rem.leading()
@@ -556,10 +558,9 @@ class Poly:
         for mono in sorted(self.terms, key=_mono_key):
             c = self.terms[mono]
             mstr = _mono_render(mono)
-            if c.is_rational():
-                q = c.as_rational()
-                sign = "-" if q < 0 else "+"
-                mag = abs(q)
+            if type(c) is Fraction:
+                sign = "-" if c < 0 else "+"
+                mag = abs(c)
                 body = (str(mag) if not mstr
                         else (mstr if mag == 1 else f"{mag}*{mstr}"))
             else:
@@ -608,8 +609,8 @@ def _poly_div_mono(p: Poly, mono: Mono) -> Poly:
 def _uni_poly_gcd(a: Poly, b: Poly, var: str) -> Poly:
     """Monic gcd of two univariate polynomials in ``var``: Euclid on dense
     coefficient lists through ``_uni_divmod``."""
-    def dense(p: Poly) -> list[Cyclotomic]:
-        out = [_CYC_ZERO] * (p.degree_in(var) + 1)
+    def dense(p: Poly) -> list[Coeff]:
+        out = [Fraction(0)] * (p.degree_in(var) + 1)
         for mono, c in p.terms.items():
             out[mono[0][1] if mono else 0] = c
         return _uni_trim(out)
@@ -619,7 +620,7 @@ def _uni_poly_gcd(a: Poly, b: Poly, var: str) -> Poly:
         a_c, b_c = b_c, _uni_divmod(a_c, b_c)[1]
     if not a_c:
         return _POLY_ZERO
-    inv = a_c[-1].inverse()
+    inv = 1 / a_c[-1]
     return Poly({((var, k),) if k else _MONO_ONE: c * inv for k, c in enumerate(a_c)})
 
 
@@ -669,7 +670,7 @@ class RatFunc:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Cyclotomic:
+    def constant_value(self) -> Coeff:
         return self.num.constant_value() / self.den.constant_value()
 
     def variables(self) -> set[str]:
@@ -784,8 +785,8 @@ def _ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     # constant denominator folds in
     if den.is_constant():
         k = den.constant_value()
-        if not (k == _CYC_ONE):
-            num = num * k.inverse()
+        if k != 1:
+            num = num * (1 / k)
         return num, _POLY_ONE
     # a monomial denominator is now in lowest terms: every variable it holds
     # is missing from some term of num.  Otherwise try exact division, then a
@@ -803,8 +804,8 @@ def _ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
                 den = den.exact_div(g)
     # normalize the leading denominator coefficient to 1
     _, lead = den.leading()
-    if not (lead == _CYC_ONE):
-        inv = lead.inverse()
+    if lead != 1:
+        inv = 1 / lead
         num, den = num * inv, den * inv
     return num, den
 
@@ -830,13 +831,13 @@ def _poly_substitute(p: Poly, mapping: Mapping[str, "RatFunc"]) -> tuple[Poly, P
             dens.append(dens[-1] * val.den)
         factors[v] = [nums[e] * dens[top - e] for e in range(top + 1)]
         den = den * dens[top]
-    groups: dict[tuple[int, ...], dict[Mono, Cyclotomic]] = {}
+    groups: dict[tuple[int, ...], dict[Mono, Coeff]] = {}
     for mono, c in p.terms.items():
         exps = dict(mono)
         key = tuple(exps.get(v, 0) for v in tops)
         rest = tuple((v, e) for v, e in mono if v not in tops)
         groups.setdefault(key, {})[rest] = c
-    out: dict[Mono, Cyclotomic] = {}
+    out: dict[Mono, Coeff] = {}
     for key, rest in groups.items():
         factor = _POLY_ONE
         for v, e in zip(tops, key):

@@ -57,6 +57,25 @@ def test_esystem_listing(capsys):
     assert rec == {"d": 2, "solutions": [{"D": [0, 1], "x": ["1", "0"]}]}
 
 
+def test_esystem_irrational_outputs_pinned(capsys):
+    _, out, _ = run(capsys, "esystem", "--d", "3")
+    assert out == (
+        "d=3: 7 solution(s)\n"
+        "D={0}  x = (1, 1, 1)\n"
+        "D={1}  x = (1, zeta3, -1 - zeta3)\n"
+        "D={2}  x = (1, -1 - zeta3, zeta3)\n"
+        "D={0,1}  x = (1, 1/2 + 1/2*zeta3, -1/2*zeta3)\n"
+        "D={0,2}  x = (1, -1/2*zeta3, 1/2 + 1/2*zeta3)\n"
+        "D={1,2}  x = (1, -1/2, -1/2)\n"
+        "D={0,1,2}  x = (1, 0, 0)\n")
+    _, out, _ = run(capsys, "esystem", "--d", "4", "--subset", "0,1", "--json")
+    assert out == ('{"d": 4, "solutions": [{"D": [0, 1], "x": '
+                   '["1", "1/2 + 1/2*zeta4", "0", "1/2 - 1/2*zeta4"]}]}\n')
+    _, out, _ = run(capsys, "esystem", "--d", "6", "--subset", "1,2", "--json")
+    assert out == ('{"d": 6, "solutions": [{"D": [1, 2], "x": '
+                   '["1", "-1/2 + zeta6", "-1/2", "0", "-1/2", "1/2 - zeta6"]}]}\n')
+
+
 def test_invariant_json_record(capsys):
     code, out, _ = run(capsys, "homflypt", "--braid", "s1 s1 s1", "--json")
     assert code == 0

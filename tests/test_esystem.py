@@ -22,9 +22,9 @@ from helpers import random_element
 
 def test_full_subset_and_singleton():
     sol = build_solution(4, (0,))
-    assert all(v == Cyclotomic.from_rational(1) for v in sol.x)
+    assert all(v == Fraction(1) for v in sol.x)
     sol2 = build_solution(2, (0, 1))
-    assert sol2.x[1].is_zero()
+    assert sol2.x[1] == 0
 
 
 def test_single_nonzero_residue_classes():
@@ -47,13 +47,13 @@ def test_residuals_vanish_for_all_subsets(d):
     assert len(sols) == 2 ** d - 1
     assert len({sol.x for sol in sols}) == len(sols)  # distinct D, distinct x
     for sol in sols:
-        assert all(r.is_zero() for r in esystem_residual(sol.x))
+        assert all(r == 0 for r in esystem_residual(sol.x))
 
 
 def test_nonsolutions_have_nonzero_residual():
-    assert any(not r.is_zero() for r in esystem_residual((1, 2)))
+    assert any(r != 0 for r in esystem_residual((1, 2)))
     # x_1 = 1 at d = 2 is the D = {0} solution
-    assert all(r.is_zero() for r in esystem_residual((1, 1)))
+    assert all(r == 0 for r in esystem_residual((1, 1)))
 
 
 def test_residual_accepts_ratfunc_entries():
@@ -66,16 +66,16 @@ def test_fourier_of_solutions():
         for sol in enumerate_solutions(d):
             data = fourier_transform(sol.x)
             assert data.support == sol.D
-            scale = Cyclotomic.from_rational(Fraction(d, len(sol.D)))
+            scale = Fraction(d, len(sol.D))
             for k in sol.D:
                 assert data.y[k] == scale
 
 
 def test_fourier_trivial_vectors():
-    assert fourier_transform((1,)).y[0] == Cyclotomic.from_rational(1)
+    assert fourier_transform((1,)).y[0] == Fraction(1)
     data = fourier_transform((1, 0, 0))
     assert data.support == (0, 1, 2)
-    assert all(v == Cyclotomic.from_rational(1) for v in data.y)
+    assert all(v == Fraction(1) for v in data.y)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
