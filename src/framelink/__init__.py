@@ -9,11 +9,12 @@ __version__ = "0.1.0"
 
 from .braids import (
     BraidWord,
-    MarkovMove,
-    apply_move,
+    conjugate,
     framing,
+    framing_shift,
     parse_braid,
     sigma,
+    stabilize,
     tau,
 )
 from .algebra import (
@@ -60,8 +61,8 @@ from .quotients import (
 
 __all__ = [
     "__version__",
-    "BraidWord", "MarkovMove", "apply_move", "framing", "parse_braid",
-    "sigma", "tau",
+    "BraidWord", "conjugate", "framing", "framing_shift", "parse_braid",
+    "sigma", "stabilize", "tau",
     "AlgebraElement", "idempotent_e", "map_to_algebra", "quotient_generator",
     "verify_relation",
     "TraceParams", "Tracer", "juyumaya_trace", "ocneanu_trace",

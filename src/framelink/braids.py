@@ -47,6 +47,28 @@ def tau(i: int) -> Letter:
     return ("x", i)
 
 
+def _checked(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    """The letters as tuples, each a known tag with its arity, int fields,
+    an index >= 1 and, for sigma, a sign of +1 or -1."""
+    out = []
+    for letter in letters:
+        try:
+            letter = tuple(letter)
+        except TypeError:
+            raise ValueError(f"malformed braid letter {letter!r}") from None
+        size = len(letter)
+        if size == 3:
+            tag, i, e = letter
+            ok = (type(i) is int and type(e) is int and i >= 1
+                  and (tag == "t" or (tag == "s" and (e == 1 or e == -1))))
+        else:
+            ok = size == 2 and letter[0] == "x" and type(letter[1]) is int and letter[1] >= 1
+        if not ok:
+            raise ValueError(f"malformed braid letter {letter!r}")
+        out.append(letter)
+    return tuple(out)
+
+
 def _min_strands(letters: Iterable[Letter]) -> int:
     n = 1
     for letter in letters:
@@ -71,46 +93,26 @@ def _infer_kind(letters: Sequence[Letter]) -> str:
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word in the braid / framed braid / singular braid monoid on n strands."""
+    """A word in the braid / framed braid / singular braid monoid on n strands.
+
+    Its kind is read off its letters: singular with a tau letter, framed with
+    a framing letter, classical otherwise.
+    """
 
     n: int
     letters: tuple[Letter, ...]
     kind: str
 
-    def __init__(self, letters: Iterable[Letter], n: int | None = None,
-                 kind: str | None = None):
-        letters = tuple(tuple(l) for l in letters)
+    def __init__(self, letters: Iterable[Letter], n: int | None = None):
+        letters = _checked(letters)
         need = _min_strands(letters)
         if n is None:
             n = need
         elif n < need:
             raise ValueError(f"word needs at least {need} strands, got n={n}")
-        inferred = _infer_kind(letters)
-        if kind is None:
-            kind = inferred
-        else:
-            if kind not in (CLASSICAL, FRAMED, SINGULAR):
-                raise ValueError(f"unknown braid kind {kind!r}")
-            widen = {CLASSICAL: {CLASSICAL}, FRAMED: {CLASSICAL, FRAMED},
-                     SINGULAR: {CLASSICAL, SINGULAR}}
-            if inferred not in widen[kind]:
-                raise ValueError(f"letters require kind {inferred!r}, got {kind!r}")
-        for letter in letters:
-            if letter[0] not in ("s", "t", "x") or letter[1] < 1:
-                raise ValueError(f"malformed braid letter {letter}")
-            if letter[0] == "s" and (len(letter) != 3 or letter[2] not in (1, -1)):
-                raise ValueError(f"malformed braid letter {letter}")
-            if letter[0] == "t" and len(letter) != 3:
-                raise ValueError(f"malformed braid letter {letter}")
-            if letter[0] == "x" and len(letter) != 2:
-                raise ValueError(f"malformed braid letter {letter}")
-            if letter[0] in ("s", "x") and letter[1] > n - 1:
-                raise ValueError(f"letter {letter} out of range for n={n}")
-            if letter[0] == "t" and letter[1] > n:
-                raise ValueError(f"letter {letter} out of range for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "kind", _infer_kind(letters))
 
     # -- basic structure ----------------------------------------------------
 
@@ -125,14 +127,7 @@ class BraidWord:
         return total
 
     def concat(self, other: "BraidWord") -> "BraidWord":
-        n = max(self.n, other.n)
-        kind = self.kind
-        if other.kind != kind:
-            if CLASSICAL in (self.kind, other.kind):
-                kind = self.kind if other.kind == CLASSICAL else other.kind
-            else:
-                raise ValueError("cannot concatenate framed and singular words")
-        return BraidWord(self.letters + other.letters, n=n, kind=kind)
+        return BraidWord(self.letters + other.letters, n=max(self.n, other.n))
 
     def inverse(self) -> "BraidWord":
         """Group inverse; defined only for words without singular letters."""
@@ -144,12 +139,12 @@ class BraidWord:
                 inv.append(("t", letter[1], -letter[2]))
             else:
                 raise ValueError("singular letters have no inverse")
-        return BraidWord(inv, n=self.n, kind=self.kind)
+        return BraidWord(inv, n=self.n)
 
     def embed(self, n: int) -> "BraidWord":
         if n < self.n:
             raise ValueError("cannot embed into fewer strands")
-        return BraidWord(self.letters, n=n, kind=self.kind)
+        return BraidWord(self.letters, n=n)
 
     # -- rendering ----------------------------------------------------------
 
@@ -201,58 +196,18 @@ def parse_braid(text: str) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarkovMove:
-    """conjugate(by), stabilize_pos, stabilize_neg, or framing_shift(j, k)."""
-
-    tag: str
-    by: "BraidWord | None" = None
-    j: int = 0
-    k: int = 0
-
-    @staticmethod
-    def conjugate(by: BraidWord) -> "MarkovMove":
-        return MarkovMove("conjugate", by=by)
-
-    @staticmethod
-    def stabilize_pos() -> "MarkovMove":
-        return MarkovMove("stabilize_pos")
-
-    @staticmethod
-    def stabilize_neg() -> "MarkovMove":
-        return MarkovMove("stabilize_neg")
-
-    @staticmethod
-    def framing_shift(j: int, k: int = 1) -> "MarkovMove":
-        return MarkovMove("framing_shift", j=j, k=k)
+def conjugate(b: BraidWord, by: BraidWord) -> BraidWord:
+    """by b by^-1 on max(b.n, by.n) strands; by must have no tau letters."""
+    return BraidWord(by.letters + b.letters + by.inverse().letters, n=max(b.n, by.n))
 
 
-def apply_move(b: BraidWord, move: MarkovMove, d: int | None = None) -> BraidWord:
-    """Apply one Markov move, returning the new word.
+def stabilize(b: BraidWord, sign: int) -> BraidWord:
+    """b sigma_n^sign on one extra strand, sign +1 or -1."""
+    return BraidWord(b.letters + (("s", b.n, sign),), n=b.n + 1)
 
-    Conjugation keeps the strand count; stabilization appends sigma_n^{+-1}
-    on one extra strand; framing_shift multiplies the framing of strand j by
-    t_j^{k*d}, which is trivial modulo d and therefore only meaningful for
-    framed words considered modulo d (pass the modulus).
-    """
-    if move.tag == "conjugate":
-        by = move.by
-        if by is None:
-            raise ValueError("conjugate needs a conjugating word")
-        if any(l[0] == "x" for l in by.letters):
-            raise ValueError("conjugating word must be invertible (no tau letters)")
-        n = max(b.n, by.n)
-        return by.embed(n).concat(b.embed(n)).concat(by.inverse().embed(n))
-    if move.tag == "stabilize_pos":
-        return BraidWord(b.letters + (("s", b.n, 1),), n=b.n + 1, kind=b.kind)
-    if move.tag == "stabilize_neg":
-        return BraidWord(b.letters + (("s", b.n, -1),), n=b.n + 1, kind=b.kind)
-    if move.tag == "framing_shift":
-        if d is None:
-            raise ValueError("framing_shift is a modular move; pass the modulus d")
-        if b.kind == SINGULAR:
-            raise ValueError("framing_shift does not apply to singular words")
-        if not 1 <= move.j <= b.n:
-            raise ValueError(f"strand {move.j} out of range")
-        return BraidWord(b.letters + (("t", move.j, move.k * d),), n=b.n, kind=FRAMED)
-    raise ValueError(f"unknown Markov move {move.tag!r}")
+
+def framing_shift(b: BraidWord, j: int, d: int) -> BraidWord:
+    """b t_j^d: the framing of strand j moves by d, which is trivial modulo d."""
+    if b.kind == SINGULAR:
+        raise ValueError("framing_shift does not apply to singular words")
+    return BraidWord(b.letters + (("t", j, d),), n=b.n)

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import verify_relation
-from .braids import BraidWord, MarkovMove, apply_move, parse_braid, sigma
+from .braids import BraidWord, conjugate, framing_shift, parse_braid, stabilize
 from .esystem import build_solution, check_modulus, enumerate_solutions
 from .invariants import (
     FAMILIES,
@@ -168,10 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--what", choices=("relations", "skein", "markov", "quotients"),
                    required=True)
-    p.add_argument("--d", type=int, help="largest modulus (default 2)")
-    p.add_argument("--n", type=int, help="strand budget for random words (default 3)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, help="random samples per combination")
+    p.add_argument("--d", type=int,
+                   help="largest modulus, checked from 1 up; markov checks this one "
+                        "modulus only (default 3 for relations, 2 otherwise)")
+    p.add_argument("--n", type=int,
+                   help="strands of the random words, skein and markov only (default 3)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed, skein and markov only (default 0)")
+    p.add_argument("--samples", type=int,
+                   help="random samples per combination, skein and markov only "
+                        "(default 3 for skein, 10 for markov)")
 
     p = sub.add_parser("compare", help="same invariant value on two braids?")
     p.add_argument("--family", choices=FAMILIES, default="classical")
@@ -278,18 +284,16 @@ def _run_batch(args) -> int:
 
 def _random_word(rng: random.Random, n: int, length: int, family: str,
                  d: int) -> BraidWord:
-    kind = {"framed": "framed", "singular": "singular",
-            "classical": "classical"}[family]
     letters = []
     for _ in range(length):
         roll = rng.random()
-        if kind == "framed" and roll < 0.3:
+        if family == "framed" and roll < 0.3:
             letters.append(("t", rng.randrange(1, n + 1), rng.randrange(d)))
-        elif kind == "singular" and roll < 0.25:
+        elif family == "singular" and roll < 0.25:
             letters.append(("x", rng.randrange(1, n)))
         else:
             letters.append(("s", rng.randrange(1, n), rng.choice((1, -1))))
-    return BraidWord(letters, n=n, kind=kind)
+    return BraidWord(letters, n=n)
 
 
 def _verify_relations(args) -> list[str]:
@@ -342,15 +346,13 @@ def _verify_markov(args) -> list[str]:
                 if choice == 0:
                     by = _random_word(rng, moved.n, rng.randrange(1, 4),
                                       "classical", d)
-                    moved = apply_move(moved, MarkovMove.conjugate(by))
+                    moved = conjugate(moved, by)
                 elif choice == 1:
-                    moved = apply_move(moved, MarkovMove.stabilize_pos())
+                    moved = stabilize(moved, 1)
                 elif choice == 2:
-                    moved = apply_move(moved, MarkovMove.stabilize_neg())
+                    moved = stabilize(moved, -1)
                 else:
-                    moved = apply_move(
-                        moved, MarkovMove.framing_shift(rng.randrange(1, moved.n + 1)),
-                        d=d)
+                    moved = framing_shift(moved, rng.randrange(1, moved.n + 1), d)
             va = invariant(InvariantRequest(base, family, d, D))
             vb = invariant(InvariantRequest(moved, family, d, D))
             if va != vb:

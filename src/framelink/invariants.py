@@ -130,8 +130,8 @@ def framed_jones(b: BraidWord, d: int, D) -> InvariantValue:
 # -- skein relations ---------------------------------------------------------
 
 
-def _append(base: BraidWord, letters, kind: str) -> BraidWord:
-    return base.concat(BraidWord(letters, n=base.n, kind=kind))
+def _append(base: BraidWord, letters) -> BraidWord:
+    return base.concat(BraidWord(letters, n=base.n))
 
 
 def verify_skein(kind: str, base: BraidWord, i: int, d: int, D) -> bool:
@@ -153,25 +153,25 @@ def verify_skein(kind: str, base: BraidWord, i: int, d: int, D) -> bool:
     def value(b):
         return invariant(InvariantRequest(b, family, d, tuple(D)))
 
-    minus = value(_append(base, [sigma(i, -1)], "classical"))
-    plus = value(_append(base, [sigma(i)], "classical"))
+    minus = value(_append(base, [sigma(i, -1)]))
+    plus = value(_append(base, [sigma(i)]))
     lhs = minus.value.times_half_steps(1)
     if kind == "framed":
         c = (U ** -1 - 1) * RatFunc.const(Fraction(1, d))
         rhs = plus.value.times_half_steps(-1)
         for s in range(d):
             twist = [framing(i, s), framing(i + 1, d - s)]
-            rhs = rhs + value(_append(base, twist, "framed")).value.scale(c)
-            rhs = rhs + value(_append(base, twist + [sigma(i)], "framed")) \
+            rhs = rhs + value(_append(base, twist)).value.scale(c)
+            rhs = rhs + value(_append(base, twist + [sigma(i)])) \
                 .value.scale(c).times_half_steps(-1)
         return lhs == rhs
     if kind == "cubic":
-        double = value(_append(base, [sigma(i), sigma(i)], "classical"))
+        double = value(_append(base, [sigma(i), sigma(i)]))
         rhs = double.value.scale(-(U ** -1)).times_half_steps(-2)
         rhs = rhs + plus.value.times_half_steps(-1)
         rhs = rhs + value(base).value.scale(U ** -1)
         return lhs == rhs
-    cross = value(_append(base, [tau(i)], "singular"))
+    cross = value(_append(base, [tau(i)]))
     rhs = cross.value.scale(U ** -1 - 1).times_half_steps(-1)
     return lhs - plus.value.times_half_steps(-1) == rhs
 

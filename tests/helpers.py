@@ -30,4 +30,4 @@ def random_braid(rng: random.Random, n: int, length: int, kind: str = "classical
             letters.append(("x", rng.randint(1, n - 1)))
         else:
             letters.append(("s", rng.randint(1, n - 1), rng.choice((1, -1))))
-    return BraidWord(letters, n=n, kind=kind)
+    return BraidWord(letters, n=n)

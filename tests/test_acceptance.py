@@ -21,7 +21,14 @@ from framelink.algebra import (
     quotient_generator,
     verify_relation,
 )
-from framelink.braids import BraidWord, MarkovMove, apply_move, parse_braid, sigma
+from framelink.braids import (
+    BraidWord,
+    conjugate,
+    framing_shift,
+    parse_braid,
+    sigma,
+    stabilize,
+)
 from framelink.esystem import (
     e_d_value,
     enumerate_solutions,
@@ -173,14 +180,13 @@ def test_criterion_04_markov_invariance():
                 pick = rng.randrange(4 if family == "framed" else 3)
                 if pick == 0:
                     by = random_braid(rng, moved.n, rng.randint(1, 2))
-                    moved = apply_move(moved, MarkovMove.conjugate(by))
+                    moved = conjugate(moved, by)
                 elif pick == 1:
-                    moved = apply_move(moved, MarkovMove.stabilize_pos())
+                    moved = stabilize(moved, 1)
                 elif pick == 2:
-                    moved = apply_move(moved, MarkovMove.stabilize_neg())
+                    moved = stabilize(moved, -1)
                 else:
-                    moved = apply_move(
-                        moved, MarkovMove.framing_shift(rng.randint(1, moved.n)), d=d)
+                    moved = framing_shift(moved, rng.randint(1, moved.n), d)
             va = invariant(InvariantRequest(base, family, d, D))
             vb = invariant(InvariantRequest(moved, family, d, D))
             if va != vb:

@@ -1,17 +1,22 @@
 """Braid word grammar, Markov moves, and writhe bookkeeping."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import framelink
 from framelink.braids import (
     BraidWord,
-    MarkovMove,
-    apply_move,
+    conjugate,
     framing,
+    framing_shift,
     parse_braid,
     sigma,
+    stabilize,
     tau,
 )
+from framelink.cli import _random_word
 
 
 def test_parse_simple_words():
@@ -88,7 +93,7 @@ def test_inverse():
 def test_conjugate_move():
     b = parse_braid("s1 s1 s1")
     c = parse_braid("s2")
-    out = apply_move(b, MarkovMove.conjugate(c))
+    out = conjugate(b, c)
     assert out.n == 3
     assert out.letters[0] == ("s", 2, 1)
     assert out.letters[-1] == ("s", 2, -1)
@@ -97,9 +102,9 @@ def test_conjugate_move():
 
 def test_stabilize_moves():
     b = parse_braid("s1 s1 s1")
-    up = apply_move(b, MarkovMove.stabilize_pos())
+    up = stabilize(b, 1)
     assert up.n == 3 and up.letters[-1] == ("s", 2, 1)
-    dn = apply_move(b, MarkovMove.stabilize_neg())
+    dn = stabilize(b, -1)
     assert dn.n == 3 and dn.letters[-1] == ("s", 2, -1)
     assert up.epsilon() == b.epsilon() + 1
     assert dn.epsilon() == b.epsilon() - 1
@@ -107,9 +112,9 @@ def test_stabilize_moves():
 
 def test_framing_shift_needs_d():
     b = parse_braid("s1")
-    with pytest.raises(ValueError):
-        apply_move(b, MarkovMove.framing_shift(1, 1))
-    out = apply_move(b, MarkovMove.framing_shift(1, 1), d=3)
+    with pytest.raises(TypeError):
+        framing_shift(b, 1)
+    out = framing_shift(b, 1, 3)
     assert out.letters[-1] == ("t", 1, 3)
 
 
@@ -132,3 +137,54 @@ def test_embed():
     assert wide.n == 4 and wide.letters == b.letters
     with pytest.raises(ValueError):
         b.embed(1)
+
+
+@pytest.mark.parametrize("letter", [
+    (), ("s",), ("s", "1", 1), ("t", 1, 1.5), ("s", 1, 2), ("x", 1, 1),
+    ("q", 1), ("s", 1, True), ("s", 0, 1), ("t", 1.0, 1), 5,
+])
+def test_malformed_letters_are_refused(letter):
+    with pytest.raises(ValueError, match="malformed braid letter"):
+        BraidWord([letter])
+
+
+def test_header_below_the_letters_is_refused():
+    with pytest.raises(ValueError, match="needs at least 3 strands"):
+        parse_braid("n=2 s2")
+    with pytest.raises(ValueError):
+        framing_shift(parse_braid("s1"), 3, 2)
+
+
+def test_kind_comes_from_the_letters():
+    assert BraidWord([("s", 1, 1)], n=2) == parse_braid("s1")
+    assert BraidWord([("t", 1, 0)]).kind == "framed"
+    assert parse_braid("x1").concat(parse_braid("s1")).kind == "singular"
+    with pytest.raises(TypeError):
+        BraidWord([("s", 1, 1)], n=2, kind="framed")
+    with pytest.raises(ValueError):
+        parse_braid("x1").concat(parse_braid("t1"))
+    with pytest.raises(ValueError):
+        framing_shift(parse_braid("x1"), 1, 2)
+    with pytest.raises(ValueError):
+        conjugate(parse_braid("s1"), parse_braid("x1"))
+
+
+def test_words_survive_render_and_parse():
+    rng = random.Random(2024)
+    for family in ("framed", "classical", "singular"):
+        for d in (1, 2, 3):
+            for _ in range(20):
+                n = rng.randint(2, 4)
+                w = _random_word(rng, n, rng.randrange(0, 7), family, d)
+                by = _random_word(rng, n, rng.randrange(0, 3), "classical", d)
+                moved = [conjugate(w, by), stabilize(w, 1), stabilize(w, -1)]
+                if family != "singular":
+                    moved.append(framing_shift(w, rng.randint(1, n), d))
+                for word in [w] + moved:
+                    assert parse_braid(word.render()) == word, word.render()
+
+
+def test_package_exports_resolve():
+    assert len(framelink.__all__) == len(set(framelink.__all__))
+    for name in framelink.__all__:
+        assert hasattr(framelink, name), name

@@ -90,6 +90,13 @@ def test_verify_relations(capsys):
     assert "all checks passed" in out
 
 
+def test_verify_relations_default_d_is_3(capsys):
+    code, out, _ = run(capsys, "verify", "--what", "relations")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == \
+        ["relations d=1", "relations d=2", "relations d=3"]
+
+
 def test_verify_markov_deterministic(capsys):
     argv = ("verify", "--what", "markov", "--d", "1", "--samples", "2",
             "--seed", "7")
@@ -279,6 +286,9 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "esystem", "--d", "2", "--subset", "0,0")
     assert code == 2
+    # a header below the largest index is refused, in one line
+    code, out, err = run(capsys, "homflypt", "--braid", "n=2 s2")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
     # singular letters are not classical links
     code, _, err = run(capsys, "homflypt", "--braid", "x1")
     assert code == 2

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracle_hecke as oracle
-from framelink.braids import MarkovMove, apply_move, parse_braid
+from framelink.braids import conjugate, parse_braid, stabilize
 from framelink.invariants import (
     InvariantRequest,
     compare_links,
@@ -120,9 +120,9 @@ def test_markov_move_invariance(family, d, D):
         n = rng.randint(2, 3)
         b = random_braid(rng, n, rng.randint(2, 5), kind=kind, d=d)
         base = invariant(InvariantRequest(b, family, d, D))
-        conj = apply_move(b, MarkovMove.conjugate(random_braid(rng, n, 2)))
-        up = apply_move(b, MarkovMove.stabilize_pos())
-        dn = apply_move(b, MarkovMove.stabilize_neg())
+        conj = conjugate(b, random_braid(rng, n, 2))
+        up = stabilize(b, 1)
+        dn = stabilize(b, -1)
         for moved in (conj, up, dn):
             v = invariant(InvariantRequest(moved, family, d, D))
             assert v == base
@@ -153,10 +153,9 @@ def test_skein_rejects_bad_input():
 
 
 def test_compare_links():
-    conj = apply_move(TREFOIL, MarkovMove.conjugate(parse_braid("s1")))
+    conj = conjugate(TREFOIL, parse_braid("s1"))
     assert compare_links(TREFOIL, conj, "classical", 1, (0,))
-    assert compare_links(TREFOIL, apply_move(TREFOIL, MarkovMove.stabilize_neg()),
-                         "classical", 1, (0,))
+    assert compare_links(TREFOIL, stabilize(TREFOIL, -1), "classical", 1, (0,))
     assert not compare_links(TREFOIL, parse_braid(""), "classical", 1, (0,))
 
 
