@@ -245,8 +245,8 @@ def gen_t(d: int, n: int, j: int, k: int = 1) -> AlgebraElement:
     return AlgebraElement.from_word(d, n, tuple(frm), perms.identity(n))
 
 
-def idempotent_e(d: int, n: int, i: int, k: int = 0) -> AlgebraElement:
-    """e_i^{(k)} = (1/d) sum_s t_i^{k+s} t_{i+1}^{d-s}; k = 0 gives e_i."""
+def idempotent_e(d: int, n: int, i: int) -> AlgebraElement:
+    """e_i = (1/d) sum_s t_i^s t_{i+1}^{d-s}."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"e_{i} does not exist on {n} strands")
     coeff = RatFunc.const(Fraction(1, d))
@@ -254,7 +254,7 @@ def idempotent_e(d: int, n: int, i: int, k: int = 0) -> AlgebraElement:
     ident = perms.identity(n)
     for s in range(d):
         frm = [0] * n
-        frm[i - 1] = (k + s) % d
+        frm[i - 1] = s
         frm[i] = (d - s) % d
         _bump(out, (tuple(frm), ident), coeff)
     return AlgebraElement(d, n, out)

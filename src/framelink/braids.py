@@ -108,6 +108,8 @@ class BraidWord:
         need = _min_strands(letters)
         if n is None:
             n = need
+        elif type(n) is not int:
+            raise ValueError(f"strand count must be an int, got n={n!r}")
         elif n < need:
             raise ValueError(f"word needs at least {need} strands, got n={n}")
         object.__setattr__(self, "n", n)

@@ -104,19 +104,6 @@ def cache_put(path: str, key: dict, value: dict) -> None:
         print(f"cache write failed: {exc}", file=sys.stderr)
 
 
-def _cached_eval(cache_path, command, family, d, D, braid_text, compute):
-    """compute() -> InvariantValue; returns the JSON record, via cache."""
-    key = _cache_key(command, family, d, D, braid_text)
-    if cache_path:
-        hit = cache_get(cache_path, key)
-        if hit is not None:
-            return hit
-    record = compute().to_json()
-    if cache_path:
-        cache_put(cache_path, key, record)
-    return record
-
-
 # -- argument plumbing -------------------------------------------------------
 
 
@@ -147,23 +134,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--subset", help="comma-separated residues of one subset")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_run_esystem)
 
     p = sub.add_parser("invariant", help="framed / classical / singular invariant")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--subset", default="0")
     _add_braid_opts(p)
+    p.set_defaults(run=_run_value)
 
-    p = sub.add_parser("homflypt", help="classical invariant at d=1")
-    _add_braid_opts(p)
-
-    p = sub.add_parser("jones", help="Homflypt at z = -1/(u+1)")
-    _add_braid_opts(p)
+    # homflypt and jones fix the family, d and subset that invariant takes as
+    # flags; these defaults are not flags, so they cannot be set
+    for name, text in (("homflypt", "classical invariant at d=1"),
+                       ("jones", "Homflypt at z = -1/(u+1)")):
+        p = sub.add_parser(name, help=text)
+        _add_braid_opts(p)
+        p.set_defaults(run=_run_value, family="classical", d=1, subset="0")
 
     p = sub.add_parser("framed-jones", help="framed invariant at z = -1/((u+1)|D|)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--subset", default="0")
     _add_braid_opts(p)
+    p.set_defaults(run=_run_value, family="framed")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--what", choices=("relations", "skein", "markov", "quotients"),
@@ -178,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int,
                    help="random samples per combination, skein and markov only "
                         "(default 3 for skein, 10 for markov)")
+    p.set_defaults(run=_run_verify)
 
     p = sub.add_parser("compare", help="same invariant value on two braids?")
     p.add_argument("--family", choices=FAMILIES, default="classical")
@@ -185,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", default="0")
     p.add_argument("--braid-a", required=True)
     p.add_argument("--braid-b", required=True)
+    p.set_defaults(run=_run_compare)
 
     p = sub.add_parser("batch", help="one braid per line, JSON-lines out")
     p.add_argument("--file", required=True)
@@ -192,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--subset", default="0")
     p.add_argument("--cache", help=f"JSON-lines cache path (default ${CACHE_ENV})")
+    p.set_defaults(run=_run_batch)
 
     return ap
 
@@ -216,43 +211,33 @@ def _run_esystem(args) -> int:
     return 0
 
 
-def _emit_value(args, record) -> int:
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(record["value"])
+# subcommand -> its library call on (braid, family, d, D); batch is invariant
+_LIBRARY = {
+    "invariant": lambda b, family, d, D: invariant(InvariantRequest(b, family, d, D)),
+    "homflypt": lambda b, family, d, D: homflypt(b),
+    "jones": lambda b, family, d, D: jones(b),
+    "framed-jones": lambda b, family, d, D: framed_jones(b, d, D),
+}
+
+
+def _value_record(args, command: str, braid_text: str) -> tuple[str, dict]:
+    """(canonical braid text, JSON record) of one value, via the cache."""
+    D = _parse_subset(args.subset)
+    b = parse_braid(braid_text)
+    text = b.render()
+    key = _cache_key(command, args.family, args.d, D, text)
+    record = cache_get(args.cache, key) if args.cache else None
+    if record is None:
+        record = _LIBRARY[command](b, args.family, args.d, D).to_json()
+        if args.cache:
+            cache_put(args.cache, key, record)
+    return text, record
+
+
+def _run_value(args) -> int:
+    _, record = _value_record(args, args.command, args.braid)
+    print(json.dumps(record, sort_keys=True) if args.json else record["value"])
     return 0
-
-
-def _run_invariant(args) -> int:
-    D = _parse_subset(args.subset)
-    b = parse_braid(args.braid)
-    record = _cached_eval(
-        args.cache, "invariant", args.family, args.d, D, b.render(),
-        lambda: invariant(InvariantRequest(b, args.family, args.d, D)))
-    return _emit_value(args, record)
-
-
-def _run_homflypt(args) -> int:
-    b = parse_braid(args.braid)
-    record = _cached_eval(args.cache, "homflypt", "classical", 1, (0,),
-                          b.render(), lambda: homflypt(b))
-    return _emit_value(args, record)
-
-
-def _run_jones(args) -> int:
-    b = parse_braid(args.braid)
-    record = _cached_eval(args.cache, "jones", "classical", 1, (0,),
-                          b.render(), lambda: jones(b))
-    return _emit_value(args, record)
-
-
-def _run_framed_jones(args) -> int:
-    D = _parse_subset(args.subset)
-    b = parse_braid(args.braid)
-    record = _cached_eval(args.cache, "framed-jones", "framed", args.d, D,
-                          b.render(), lambda: framed_jones(b, args.d, D))
-    return _emit_value(args, record)
 
 
 def _run_compare(args) -> int:
@@ -265,17 +250,13 @@ def _run_compare(args) -> int:
 
 
 def _run_batch(args) -> int:
-    D = _parse_subset(args.subset)
+    _parse_subset(args.subset)  # a bad subset fails before the file is read
     with open(args.file, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
 
     for line in lines:
-        b = parse_braid(line)
-        record = dict(_cached_eval(
-            args.cache, "invariant", args.family, args.d, D, b.render(),
-            lambda: invariant(InvariantRequest(b, args.family, args.d, D))),
-            braid=b.render())
-        print(json.dumps(record, sort_keys=True))
+        text, record = _value_record(args, "invariant", line)
+        print(json.dumps(dict(record, braid=text), sort_keys=True))
     return 0
 
 
@@ -431,18 +412,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if hasattr(args, "cache") and args.cache is None:
         args.cache = os.environ.get(CACHE_ENV)
-    runner = {
-        "esystem": _run_esystem,
-        "invariant": _run_invariant,
-        "homflypt": _run_homflypt,
-        "jones": _run_jones,
-        "framed-jones": _run_framed_jones,
-        "verify": _run_verify,
-        "compare": _run_compare,
-        "batch": _run_batch,
-    }[args.command]
     try:
-        return runner(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

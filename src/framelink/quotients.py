@@ -19,6 +19,12 @@ shape with |D| <= 2 and z is -1/(u+1) or -1 for |D| = 1, -1/2 for
 |D| = 2.  FTL passes when every nonzero y_k is -dz or -dz(u+1), with
 z = -1/(|D_1| + (u+1)|D_2|) for the two blocks D_1, D_2 of the support.
 
+CTL passes when (u+1) z^2 sum_k x_k + (u+2) z sum_k tr(e_1^{(k)})
++ sum_k tr(e_1^{(k)} e_2) = 0, with e_1^{(k)} = t_1^k e_1.  These are
+traces of identity words, tr(t^a) = x_{a_1} x_{a_2} x_{a_3}, so the three
+sums are y_0, y_0^2/d and y_0^3/d^2 for y_0 = 1 + x_1 + ... + x_{d-1}, and
+the condition factors as y_0 (z + w)((u+1) z + w) = 0 with w = y_0/d.
+
 The quadratic blow-up of the pair loop is avoided by three exact reductions,
 each verified rather than assumed, and by walking the basis:
 
@@ -61,7 +67,6 @@ from .algebra import (
     basis_walk,
     gen_g,
     gen_t,
-    idempotent_e,
     quotient_generator,
     split_basis,
 )
@@ -225,18 +230,10 @@ def _ftl_admissible(check: QuotientCheck) -> bool:
 
 
 def _ctl_admissible(check: QuotientCheck) -> bool:
-    d, z = check.d, check.zval
-    params = TraceParams(d, check.xs)
-    tracer = Tracer(params)
-    sum_x = sum((params.x_value(k) for k in range(d)), start=RATFUNC_ZERO)
-    sum_e = RATFUNC_ZERO
-    sum_ee = RATFUNC_ZERO
-    for k in range(d):
-        ek = idempotent_e(d, 3, 1, k)
-        sum_e = sum_e + tracer.trace(ek)
-        sum_ee = sum_ee + tracer.trace(ek * idempotent_e(d, 3, 2))
-    expr = (U + 1) * z * z * sum_x + (U + 2) * z * sum_e + sum_ee
-    return expr.is_zero()
+    y0 = RatFunc.const(fourier_transform((1,) + check.xs).y[0])
+    w = y0 * Fraction(1, check.d)
+    z = check.zval
+    return any(f.is_zero() for f in (y0, z + w, (U + 1) * z + w))
 
 
 def admissible(check: QuotientCheck) -> bool:
@@ -285,23 +282,22 @@ class _Echelon:
         return col
 
 
-def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int,
-                    n: int = 3) -> bool:
+def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int) -> bool:
     """Is genA in the two-sided ideal span{a genB b : a, b split-basis words}?
 
     Built by closure: from genB on, each element that adds rank to an echelon
     over the coefficient field (u formal) is queued, and w r and r w are
-    inserted for each queued r and each generator w among g_1..g_{n-1},
-    t_1..t_n (the t_j only when d > 1).  The span is then closed under
+    inserted for each queued r and each generator w among g_1, g_2,
+    t_1..t_3 (the t_j only when d > 1).  The span is then closed under
     multiplication on both sides by the generators, hence by their words,
-    which span Y_{d,n}(u).  genA is reduced after every rank increase, so
-    membership exits early.
+    which span Y_{d,3}(u), the algebra of the ideal criterion.  genA is
+    reduced after every rank increase, so membership exits early.
     """
-    if genA.d != d or genB.d != d or genA.n != n or genB.n != n:
+    if genA.d != d or genB.d != d or genA.n != _N or genB.n != _N:
         raise ValueError("generators must live in the stated algebra")
-    gens = [gen_g(d, n, i) for i in range(1, n)]
+    gens = [gen_g(d, _N, i) for i in range(1, _N)]
     if d > 1:
-        gens += [gen_t(d, n, j) for j in range(1, n + 1)]
+        gens += [gen_t(d, _N, j) for j in range(1, _N + 1)]
     span = _Echelon()
     target = dict(genA.terms)  # columns are basis words, in split-basis order
     queue: list[AlgebraElement] = []

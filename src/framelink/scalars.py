@@ -667,12 +667,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> Coeff:
-        return self.num.constant_value() / self.den.constant_value()
-
     def variables(self) -> set[str]:
         return self.num.variables() | self.den.variables()
 

@@ -134,10 +134,14 @@ def test_idempotent_relations():
 
 
 def test_shifted_idempotent():
-    # e_i^{(k)} = t_i^k e_i
+    # e_i^{(k)} = (1/d) sum_s t_i^{k+s} t_{i+1}^{-s} equals t_i^k e_i
     for d in (2, 3):
         for k in range(d):
-            lhs = idempotent_e(d, 3, 1, k)
+            lhs = AlgebraElement.zero(d, 3)
+            for s in range(d):
+                lhs = lhs + AlgebraElement.from_word(
+                    d, 3, ((k + s) % d, -s % d, 0), perms.identity(3))
+            lhs = lhs.scale(RatFunc.const(Fraction(1, d)))
             rhs = gen_t(d, 3, 1, k) * idempotent_e(d, 3, 1)
             assert lhs == rhs
 

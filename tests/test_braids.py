@@ -155,6 +155,14 @@ def test_header_below_the_letters_is_refused():
         framing_shift(parse_braid("s1"), 3, 2)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"], ids=repr)
+def test_strand_count_must_be_an_int(n):
+    # a float header would break the render -> parse round trip
+    with pytest.raises(ValueError, match="strand count must be an int") as exc:
+        BraidWord([("s", 1, 1)], n=n)
+    assert len(str(exc.value).splitlines()) == 1
+
+
 def test_kind_comes_from_the_letters():
     assert BraidWord([("s", 1, 1)], n=2) == parse_braid("s1")
     assert BraidWord([("t", 1, 0)]).kind == "framed"

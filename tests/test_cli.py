@@ -253,6 +253,30 @@ def test_cache_hit_renders_identically(tmp_path, capsys):
         assert sum(1 for _ in fh) == 1
 
 
+@pytest.mark.parametrize("argv,key", [
+    (("invariant", "--family", "singular", "--d", "2", "--subset", "0,1",
+      "--braid", "x1  s1"), ("invariant", "singular", 2, (0, 1), "x1 s1")),
+    (("homflypt", "--braid", "n=3 s1 s1"), ("homflypt", "classical", 1, (0,), "n=3 s1 s1")),
+    (("jones", "--braid", "s1  -s1", "--json"), ("jones", "classical", 1, (0,), "s1 -s1")),
+    (("framed-jones", "--d", "2", "--subset", "1", "--braid", "t1^2 s1 t2"),
+     ("framed-jones", "framed", 2, (1,), "t1^2 s1 t2")),
+    (("batch", "--family", "framed", "--d", "3", "--subset", "0,2"),
+     ("invariant", "framed", 3, (0, 2), "t1 s1")),
+], ids=["invariant", "homflypt", "jones", "framed-jones", "batch"])
+def test_cache_key_of_each_value_command(tmp_path, capsys, argv, key):
+    # the key each command writes, read back from the file; a rerun hits it
+    path = tmp_path / "cache.jsonl"
+    if argv[0] == "batch":
+        src = tmp_path / "braids.txt"
+        src.write_text("t1  s1\n")
+        argv += ("--file", str(src))
+    for _ in range(2):
+        code, out, err = run(capsys, *argv, "--cache", str(path))
+        assert code == 0 and out and err == ""
+    [line] = path.read_text().splitlines()
+    assert json.loads(line)["key"] == _cache_key(*key)
+
+
 def test_cache_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):
     # the parser is built once per process, so it must not freeze the
     # variable; drop the built one so the first call below builds it anew
@@ -327,6 +351,34 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, "verify", "--what", what, flag, value)
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert flag in err
+
+
+@pytest.mark.parametrize("content", ["", None], ids=["empty-file", "missing-file"])
+def test_batch_checks_the_subset_before_the_file(tmp_path, capsys, content):
+    src = tmp_path / "braids.txt"
+    if content is not None:
+        src.write_text(content)
+    code, out, err = run(capsys, "batch", "--file", str(src), "--subset", "")
+    assert code == 2 and out == ""
+    assert err == "error: subset must list at least one residue\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["esystem", "--d", "1"],
+    ["invariant", "--family", "framed", "--d", "1", "--braid", ""],
+    ["homflypt", "--braid", ""],
+    ["jones", "--braid", ""],
+    ["framed-jones", "--d", "1", "--braid", ""],
+    ["verify", "--what", "skein"],
+    ["compare", "--braid-a", "", "--braid-b", ""],
+    ["batch", "--file", "f"],
+], ids=lambda argv: argv[0])
+def test_each_subcommand_names_its_runner(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: framelink {argv[0]} ")
+    assert callable(build_parser().parse_args(argv).run)
 
 
 def test_modulus_budget(tmp_path, capsys):

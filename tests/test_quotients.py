@@ -241,6 +241,49 @@ def test_ctl_d2_non_solution_points():
         both(QuotientCheck("ctl", 2, z, (x1,)))
 
 
+def _ctl_by_traced_sums(check):
+    """(u+1) z^2 sum_k x_k + (u+2) z sum_k tr(e_1^{(k)}) + sum_k tr(e_1^{(k)} e_2)
+    = 0, each e_1^{(k)} = t_1^k e_1 traced on 3 strands."""
+    d, z = check.d, check.zval
+    params = TraceParams(d, check.xs)
+    tracer = Tracer(params)
+    e1, e2 = idempotent_e(d, 3, 1), idempotent_e(d, 3, 2)
+    sum_x = sum_e = sum_ee = RatFunc.const(0)
+    for k in range(d):
+        ek = gen_t(d, 3, 1, k) * e1
+        sum_x = sum_x + params.x_value(k)
+        sum_e = sum_e + tracer.trace(ek)
+        sum_ee = sum_ee + tracer.trace(ek * e2)
+    return ((U + 1) * z * z * sum_x + (U + 2) * z * sum_e + sum_ee).is_zero()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
+def test_ctl_closed_form_matches_the_traced_sums(d):
+    # the closed form reads y_0 alone; the reference traces the three sums
+    rng = random.Random(5200 + d)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def u_rational():
+        return (rational() * U + rational()) / (U + rng.randint(1, 5))
+
+    points = [tuple(sol.x[1:]) for sol in enumerate_solutions(d)]
+    points += [tuple(make() for _ in range(d - 1))
+               for make in (rational, u_rational) for _ in range(2)]
+    # y_0 = 0 off the solutions: every z passes
+    points += [(-1,) + (0,) * (d - 2)] if d > 1 else []
+    verdicts = set()
+    for xs in points:
+        w = (1 + sum(xs, start=RatFunc.const(0))) * Fraction(1, d)
+        for z in (-w, -w / (U + 1), rational(), u_rational()):
+            check = QuotientCheck("ctl", d, z, xs)
+            verdict = admissible(check)
+            assert verdict is _ctl_by_traced_sums(check), (xs, z)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 # -- deep double loop validates the reduction --------------------------------
 
 
@@ -533,3 +576,12 @@ def test_inclusion_rejects_mismatched_algebra():
     with pytest.raises(ValueError):
         ideal_inclusion(quotient_generator("ytl", 1, 3, 1),
                         quotient_generator("ytl", 2, 3, 1), 2)
+
+
+def test_inclusion_runs_on_three_strands():
+    # the closure has no strand count to pass; 4-strand generators are refused
+    g4 = quotient_generator("ytl", 1, 4, 1)
+    with pytest.raises(ValueError):
+        ideal_inclusion(g4, g4, 1)
+    with pytest.raises(TypeError):
+        ideal_inclusion(g4, g4, 1, n=4)
