@@ -5,7 +5,7 @@ Everything is computed in exact arithmetic: rational functions in u and
 the trace parameters over cyclotomic coefficients.  No floats anywhere.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 from .braids import (
     BraidWord,
@@ -24,13 +24,7 @@ from .algebra import (
     quotient_generator,
     verify_relation,
 )
-from .trace import (
-    TraceParams,
-    Tracer,
-    juyumaya_trace,
-    ocneanu_trace,
-    specialized_params,
-)
+from .trace import Tracer
 from .esystem import (
     ESolution,
     build_solution,
@@ -65,8 +59,7 @@ __all__ = [
     "sigma", "stabilize", "tau",
     "AlgebraElement", "idempotent_e", "map_to_algebra", "quotient_generator",
     "verify_relation",
-    "TraceParams", "Tracer", "juyumaya_trace", "ocneanu_trace",
-    "specialized_params",
+    "Tracer",
     "ESolution", "build_solution", "e_d_value", "enumerate_solutions",
     "esystem_residual", "fourier_transform", "inverse_fourier",
     "InvariantRequest", "InvariantValue", "compare_links", "framed_jones",

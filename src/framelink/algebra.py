@@ -81,9 +81,13 @@ class AlgebraElement:
     def __init__(self, d: int, n: int, terms: dict[BasisWord, RatFunc] | None = None):
         if d < 1 or n < 1:
             raise ValueError("need d >= 1 and n >= 1")
-        self.d = d
-        self.n = n
-        self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", {
+            w: c for w, c in (terms or {}).items() if not c.is_zero()})
+
+    def __setattr__(self, *a):
+        raise AttributeError("AlgebraElement is immutable")
 
     # -- constructors -------------------------------------------------------
 

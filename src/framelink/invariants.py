@@ -21,7 +21,7 @@ from .algebra import map_to_algebra
 from .braids import BraidWord, framing, sigma, tau
 from .esystem import build_solution
 from .scalars import HalfPowerValue, RatFunc, U, Z
-from .trace import Tracer, specialized_params
+from .trace import Tracer
 
 FAMILIES = ("framed", "classical", "singular")
 
@@ -102,7 +102,7 @@ class InvariantValue:
 def invariant(req: InvariantRequest) -> InvariantValue:
     sol = build_solution(req.d, req.D)
     image = map_to_algebra(req.braid, req.d)
-    t = Tracer(specialized_params(sol)).trace(image)
+    t = Tracer(sol.d, sol.x[1:]).trace(image)
     n, eps = req.braid.n, req.braid.epsilon()
     lam = lambda_d(req.d, sol.size())
     val = HalfPowerValue(t * Z ** (-(n - 1)), eps - (n - 1), lam)

@@ -72,7 +72,7 @@ from .algebra import (
 )
 from .esystem import fourier_transform
 from .scalars import Poly, RatFunc, RATFUNC_ZERO, U
-from .trace import TraceParams, Tracer
+from .trace import Tracer
 
 KINDS = ("ytl", "ftl", "ctl")
 _N = 3  # strands of the ideal criterion; n > 3 exceeds the budget
@@ -108,7 +108,7 @@ class QuotientCheck:
 def _conjugation_certificate(d: int) -> bool:
     """Generic-mode check that the trace is invariant under cyclic moves
     by every generator; extends to tr(ab) = tr(ba) by induction on words."""
-    tracer = Tracer(TraceParams(d))
+    tracer = Tracer(d)
     gens = [gen_g(d, _N, i) for i in range(1, _N)]
     if d > 1:
         gens.append(gen_t(d, _N, 1))
@@ -128,7 +128,7 @@ def _generic_scan(kind: str, d: int) -> tuple:
     not in the span, over Q(zeta_d)(u), of the values of the words kept
     before it.
     """
-    tracer = Tracer(TraceParams(d))
+    tracer = Tracer(d)
     span = _Echelon()
     out = []
     for word, prod in basis_walk(quotient_generator(kind, d, _N, 1)):
@@ -171,7 +171,7 @@ def _deep_scan(check: QuotientCheck):
     """Literal double loop, the reference for _scan (a passing FTL point takes
     ~3.5 s at d = 2, 2 vCPU); returns a witness (a, b, value) or None."""
     gen = quotient_generator(check.kind, check.d, _N, 1)
-    tracer = Tracer(TraceParams(check.d, check.xs), z=check.zval)
+    tracer = Tracer(check.d, check.xs, check.zval)
     for wa in split_basis(check.d, _N):
         for wb, prod in basis_walk(AlgebraElement.from_word(check.d, _N, *wa) * gen):
             val = tracer.trace(prod)

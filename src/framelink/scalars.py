@@ -855,13 +855,6 @@ def x_var(m: int) -> RatFunc:
     return RatFunc.var(f"x{m}")
 
 
-def ratfunc_eq(a: RatFunc, b: RatFunc) -> bool:
-    """Exact equality by cross-multiplication."""
-    if not isinstance(a, RatFunc) or not isinstance(b, RatFunc):
-        raise TypeError("ratfunc_eq compares rational functions")
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # half-integer powers of a fixed rational function
 # ---------------------------------------------------------------------------
@@ -926,9 +919,13 @@ class HalfPowerValue:
                               self.base.substitute(mapping))
 
     def render(self) -> str:
+        text = self.value.render()
         if self.half == 0:
-            return self.value.render()
-        return f"{self.value.render()} * sqrt(lambda_D)"
+            return text
+        # "p/q" binds tighter than " * ", a sum of terms does not
+        if self.value.den == _POLY_ONE and len(self.value.num.terms) > 1:
+            text = f"({text})"
+        return f"{text} * sqrt(lambda_D)"
 
     def __repr__(self):
         return f"HalfPowerValue({self.render()})"

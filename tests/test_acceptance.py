@@ -50,8 +50,8 @@ from framelink.quotients import (
     ideal_inclusion,
     trace_vanishes_on_ideal,
 )
-from framelink.scalars import RatFunc, U, Z
-from framelink.trace import TraceParams, Tracer, specialized_params
+from framelink.scalars import RatFunc, RATFUNC_ONE, U, Z, x_var
+from framelink.trace import Tracer
 
 RELATION_NAMES = ("cubic", "cubic_factorization", "gipi", "quadratic_p",
                   "eta_relations", "bmw_quintic_factorization")
@@ -106,8 +106,8 @@ def test_criterion_01_algebra_relations():
 def test_criterion_02_trace_rules():
     failures = []
     for d in (1, 2, 3):
-        params = TraceParams(d)
-        tracer = Tracer(params)
+        tracer = Tracer(d)
+        xs = (RATFUNC_ONE,) + tuple(x_var(m) for m in range(1, d))
         for n in (2, 3, 4):
             rng = random.Random(1000 * d + n)
             for _ in range(200):
@@ -117,13 +117,13 @@ def test_criterion_02_trace_rules():
                 if tracer.trace(up * gen_g(d, n + 1, n)) != Z * ta:
                     failures.append(f"rule2 d={d} n={n}")
                 m = rng.randrange(d)
-                if tracer.trace(up * gen_t(d, n + 1, n + 1, m)) != params.x_value(m) * ta:
+                if tracer.trace(up * gen_t(d, n + 1, n + 1, m)) != xs[m] * ta:
                     failures.append(f"rule3 d={d} n={n} m={m}")
                 i = rng.randint(1, n - 1)
                 if tracer.trace(gen_g(d, n, i) * a * inverse_g(d, n, i)) != ta:
                     failures.append(f"rule1 d={d} n={n} i={i}")
     # d=1 recursion against the brute-force expansion oracle on H_3 products
-    tracer1 = Tracer(TraceParams(1))
+    tracer1 = Tracer(1)
     frm = (0, 0, 0)
     for p in oracle.left_words(3):
         for q in oracle.left_words(3):
@@ -147,14 +147,14 @@ def test_criterion_03_esystem():
                 failures.append(f"residual d={d} D={sol.D}")
     for d in range(1, 5):
         for sol in enumerate_solutions(d):
-            tracer = Tracer(specialized_params(sol))
+            tracer = Tracer(d, sol.x[1:])
             want = RatFunc.const(e_d_value(sol))
             if tracer.trace(idempotent_e(d, 2, 1)) != want:
                 failures.append(f"tr_D(e_1) d={d} D={sol.D}")
     # specialized traces absorb a top-strand idempotent as the factor E_D
     for d in (2, 3):
         for sol in enumerate_solutions(d):
-            tracer = Tracer(specialized_params(sol))
+            tracer = Tracer(d, sol.x[1:])
             e_val = RatFunc.const(e_d_value(sol))
             rng = random.Random(50 + d)
             for n in (2, 3):

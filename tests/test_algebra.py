@@ -157,6 +157,14 @@ def test_associativity_random():
                 assert (a * b) * c == a * (b * c)
 
 
+@pytest.mark.parametrize("field", ("terms", "d", "n"))
+def test_elements_are_immutable(field):
+    e = AlgebraElement.unit(2, 2)
+    with pytest.raises(AttributeError):
+        setattr(e, field, getattr(e, field))
+    assert e == AlgebraElement.unit(2, 2)
+
+
 def test_split_basis_size_and_determinism():
     words = list(split_basis(2, 3))
     assert len(words) == 2 ** 3 * 6

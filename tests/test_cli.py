@@ -1,11 +1,14 @@
 """Command-line behavior: outputs, exit codes, caching, determinism."""
 
 import json
+import pathlib
+import re
 import sys
 import threading
 
 import pytest
 
+from framelink import __version__
 from framelink.braids import parse_braid
 from framelink.cli import _cache_key, build_parser, cache_get, cache_put, main
 from framelink.esystem import MAX_MODULUS
@@ -36,6 +39,18 @@ def test_jones_trefoil_value(capsys):
     code, out, _ = run(capsys, "jones", "--braid", "s1 s1 s1")
     assert code == 0
     assert out.strip() == "-u^4 + u^3 + u"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("jones", "--braid", "s1 s1"), "(-u^2 - 1) * sqrt(lambda_D)"),
+    (("homflypt", "--braid", "s1 s1"), "(u*z + u - z)/z * sqrt(lambda_D)"),
+    (("homflypt", "--braid", "s1 -s1"), "-u/(u - z - 1) * sqrt(lambda_D)"),
+], ids=["sum", "quotient", "one-term"])
+def test_half_power_renders(capsys, argv, want):
+    # a sum times sqrt(lambda_D) is bracketed, or it reads as a - b * sqrt(...)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == want + "\n"
 
 
 def test_framed_jones_matches_jones_at_d1(capsys):
@@ -275,6 +290,28 @@ def test_cache_key_of_each_value_command(tmp_path, capsys, argv, key):
         assert code == 0 and out and err == ""
     [line] = path.read_text().splitlines()
     assert json.loads(line)["key"] == _cache_key(*key)
+
+
+@pytest.mark.parametrize("d,first,second", [("2", "0,1", "1,0"), ("3", "0,1", "0,4")],
+                         ids=["reordered", "unreduced"])
+def test_cache_keys_the_subset_in_canonical_form(tmp_path, capsys, d, first, second):
+    # the second subset names the same D, so it hits the first record
+    path = tmp_path / "cache.jsonl"
+    outs = []
+    for subset in (first, second):
+        code, out, err = run(capsys, "invariant", "--family", "framed", "--d", d,
+                             "--subset", subset, "--braid", "t1 s1", "--json",
+                             "--cache", str(path))
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(path.read_text().splitlines()) == 1
+
+
+def test_cache_tool_version_is_the_package_version():
+    # cache keys carry __version__; a release bumps both or stale records hit
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == __version__
 
 
 def test_cache_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):

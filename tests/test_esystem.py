@@ -16,7 +16,7 @@ from framelink.esystem import (
     inverse_fourier,
 )
 from framelink.scalars import Cyclotomic, RatFunc, U
-from framelink.trace import Tracer, juyumaya_trace, specialized_params
+from framelink.trace import Tracer
 from helpers import random_element
 
 
@@ -97,7 +97,7 @@ def test_e_d_value():
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
 def test_trace_of_idempotent_specializes_to_e_d(d):
     for sol in enumerate_solutions(d):
-        val = juyumaya_trace(idempotent_e(d, 2, 1), specialized_params(sol))
+        val = Tracer(d, sol.x[1:]).trace(idempotent_e(d, 2, 1))
         assert val == RatFunc.const(e_d_value(sol))
 
 
@@ -106,7 +106,7 @@ def test_e_condition_factoring(d):
     # with specialized parameters tr(alpha e_n) = tr(e_n) tr(alpha)
     rng = random.Random(40 + d)
     for sol in enumerate_solutions(d)[:4]:
-        tracer = Tracer(specialized_params(sol))
+        tracer = Tracer(d, sol.x[1:])
         ed = RatFunc.const(e_d_value(sol))
         for n in (2, 3):
             for _ in range(3):

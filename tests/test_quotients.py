@@ -28,7 +28,7 @@ from framelink.quotients import (
     trace_vanishes_on_ideal,
 )
 from framelink.scalars import RatFunc, U
-from framelink.trace import TraceParams, Tracer
+from framelink.trace import Tracer
 
 Z_TL = -(U + 1) ** -1
 HALF = Fraction(1, 2)
@@ -245,13 +245,13 @@ def _ctl_by_traced_sums(check):
     """(u+1) z^2 sum_k x_k + (u+2) z sum_k tr(e_1^{(k)}) + sum_k tr(e_1^{(k)} e_2)
     = 0, each e_1^{(k)} = t_1^k e_1 traced on 3 strands."""
     d, z = check.d, check.zval
-    params = TraceParams(d, check.xs)
-    tracer = Tracer(params)
+    tracer = Tracer(d, check.xs)
+    xs = (RatFunc.const(1),) + check.xs
     e1, e2 = idempotent_e(d, 3, 1), idempotent_e(d, 3, 2)
     sum_x = sum_e = sum_ee = RatFunc.const(0)
     for k in range(d):
         ek = gen_t(d, 3, 1, k) * e1
-        sum_x = sum_x + params.x_value(k)
+        sum_x = sum_x + xs[k]
         sum_e = sum_e + tracer.trace(ek)
         sum_ee = sum_ee + tracer.trace(ek * e2)
     return ((U + 1) * z * z * sum_x + (U + 2) * z * sum_e + sum_ee).is_zero()
@@ -302,13 +302,13 @@ def test_deep_pairs_spot_check_d3():
     import random
 
     from framelink.algebra import AlgebraElement, split_basis
-    from framelink.trace import TraceParams, Tracer
+    from framelink.trace import Tracer
 
     sol = next(s for s in enumerate_solutions(3) if s.D == (0, 1))
     check = QuotientCheck("ftl", 3, Fraction(-1, 2), tuple(sol.x[1:]))
     assert trace_vanishes_on_ideal(check)
     gen = quotient_generator("ftl", 3, 3, 1)
-    tracer = Tracer(TraceParams(3, check.xs), z=check.zval)
+    tracer = Tracer(3, check.xs, check.zval)
     words = list(split_basis(3, 3))
     rng = random.Random(17)
     for frm_a, perm_a in rng.sample(words, 6):
@@ -321,14 +321,14 @@ def test_deep_pairs_spot_check_d3():
 def test_witness_pair_is_genuine():
     # the reported witness must evaluate nonzero in the literal double loop
     from framelink.algebra import AlgebraElement
-    from framelink.trace import TraceParams, Tracer
+    from framelink.trace import Tracer
 
     check = QuotientCheck("ytl", 2, -1, (5,))
     verdict, witness = _scan(check)
     assert verdict is False
     (frm_a, perm_a), (frm_b, perm_b), _ = witness
     gen = quotient_generator("ytl", 2, 3, 1)
-    tracer = Tracer(TraceParams(2, check.xs), z=check.zval)
+    tracer = Tracer(2, check.xs, check.zval)
     a = AlgebraElement.from_word(2, 3, frm_a, perm_a)
     b = AlgebraElement.from_word(2, 3, frm_b, perm_b)
     assert not tracer.trace(a * gen * b).is_zero()
@@ -351,7 +351,7 @@ def _literal_scan(check):
     """((a, b, value) or None) from tr(gen . c) over every split-basis word c
     in order, traced under the check's own parameters."""
     gen = quotient_generator(check.kind, check.d, 3, 1)
-    tracer = Tracer(TraceParams(check.d, check.xs), z=check.zval)
+    tracer = Tracer(check.d, check.xs, check.zval)
     unit_word = ((0,) * 3, (1, 2, 3))
     for frm, perm in split_basis(check.d, 3):
         val = tracer.trace(gen * AlgebraElement.from_word(check.d, 3, frm, perm))

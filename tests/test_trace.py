@@ -8,17 +8,25 @@ import pytest
 
 import oracle_hecke as oracle
 from framelink import perms
-from framelink.algebra import AlgebraElement, gen_g, gen_t, idempotent_e, inverse_g, map_to_algebra
+from framelink.algebra import (
+    AlgebraElement,
+    gen_g,
+    gen_t,
+    idempotent_e,
+    inverse_g,
+    map_to_algebra,
+    split_basis,
+)
 from framelink.braids import parse_braid
 from framelink.scalars import Fraction, RatFunc, RATFUNC_ONE, U, Z, x_var
-from framelink.trace import TraceParams, Tracer, juyumaya_trace, ocneanu_trace, specialized_params
+from framelink.trace import Tracer, _strip
 from helpers import random_element
 
 DS = (1, 2, 3)
 
 
 def generic_trace(e):
-    return juyumaya_trace(e, TraceParams(e.d))
+    return Tracer(e.d).trace(e)
 
 
 # -- base values ------------------------------------------------------------
@@ -50,7 +58,7 @@ def test_trace_of_idempotent_generic():
 
 def test_d1_triple_word():
     e = map_to_algebra(parse_braid("s1 s2 s1"), 1)
-    assert ocneanu_trace(e) == (U - 1) * Z * Z + U * Z
+    assert Tracer(1).trace(e) == (U - 1) * Z * Z + U * Z
 
 
 def test_two_strand_framed_word():
@@ -122,12 +130,12 @@ def test_derived_bridge_rule(d, n):
 def test_basis_trace_values_match_oracle():
     for p in perms.all_perms(3):
         e = AlgebraElement.from_word(1, 3, (0, 0, 0), p)
-        assert ocneanu_trace(e) == oracle.trace(oracle.basis_elem(p), 3)
+        assert Tracer(1).trace(e) == oracle.trace(oracle.basis_elem(p), 3)
 
 
 def test_all_h3_products_match_oracle():
     for p, q in itertools.product(perms.all_perms(3), repeat=2):
-        engine = ocneanu_trace(
+        engine = Tracer(1).trace(
             AlgebraElement.from_word(1, 3, (0, 0, 0), p)
             * AlgebraElement.from_word(1, 3, (0, 0, 0), q))
         ref = oracle.trace(oracle.product(oracle.basis_elem(p), oracle.basis_elem(q), 3), 3)
@@ -139,7 +147,7 @@ def test_random_h3_elements_match_oracle():
     for _ in range(10):
         a = random_element(rng, 1, 3, nwords=3)
         ref = oracle.trace({p: c for (_, p), c in a.terms.items()}, 3)
-        assert ocneanu_trace(a) == ref
+        assert Tracer(1).trace(a) == ref
 
 
 # -- specialization ----------------------------------------------------------
@@ -147,9 +155,9 @@ def test_random_h3_elements_match_oracle():
 
 def test_specialized_idempotent_values():
     # d=2: D={0} gives x_1 = 1, D={0,1} gives x_1 = 0
-    one = juyumaya_trace(idempotent_e(2, 2, 1), TraceParams(2, (1,)))
+    one = Tracer(2, (1,)).trace(idempotent_e(2, 2, 1))
     assert one == RATFUNC_ONE
-    half = juyumaya_trace(idempotent_e(2, 2, 1), TraceParams(2, (0,)))
+    half = Tracer(2, (0,)).trace(idempotent_e(2, 2, 1))
     assert half == RatFunc.const(Fraction(1, 2))
 
 
@@ -161,26 +169,49 @@ def test_generic_trace_does_not_factor():
 
 
 def test_tracer_with_substituted_z():
-    t = Tracer(TraceParams(2), z=RatFunc.const(-1))
+    t = Tracer(2, z=-1)
     assert t.trace(gen_g(2, 2, 1)) == RatFunc.const(-1)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        TraceParams(3, (1,))
+        Tracer(3, (1,))
     with pytest.raises(ValueError):
-        TraceParams(0)
+        Tracer(0)
     with pytest.raises(ValueError):
-        ocneanu_trace(AlgebraElement.unit(2, 2))
+        Tracer(1).trace(AlgebraElement.unit(2, 2))
     with pytest.raises(ValueError):
-        juyumaya_trace(AlgebraElement.unit(2, 2), TraceParams(3))
+        Tracer(3).trace(AlgebraElement.unit(2, 2))
 
 
-def test_specialized_params_from_solution_duck():
-    class Sol:
-        d = 2
-        x = (1, 0)
-    p = specialized_params(Sol())
-    assert p.x_value(1) == RatFunc.const(0)
-    assert p.x_value(0) == RATFUNC_ONE
-    assert p.x_value(3) == RatFunc.const(0)
+def test_specialized_x_values_reduce_mod_d():
+    # x_0 = 1 and x_1 = 0; the exponent 3 of t_1^3 reduces to 1 mod 2
+    t = Tracer(2, (0,))
+    assert t.trace(gen_t(2, 1, 1, 0)) == RATFUNC_ONE
+    assert t.trace(gen_t(2, 1, 1, 1)) == RatFunc.const(0)
+    assert t.trace(gen_t(2, 1, 1, 3)) == RatFunc.const(0)
+
+
+# -- the strand strip ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 4), (2, 4), (3, 3)])
+def test_strip_z_step_is_the_product_a_b(d, n_max):
+    # t^a g_w = A g_{n-1} B with A = t^{a'} g_v and B = t_{n-1}^{a_n}
+    # g_{n-2}...g_k one strand down; the z-step must list the terms of A B
+    for n in range(2, n_max + 1):
+        for frm, perm in split_basis(d, n):
+            if perm[n - 1] == n:
+                continue
+            k = perm.index(n) + 1
+            a = AlgebraElement.from_word(d, n - 1, frm[: n - 1],
+                                         tuple(p for p in perm if p != n))
+            b = AlgebraElement.from_word(d, n - 1, (0,) * (n - 2) + (frm[n - 1],),
+                                         perms.identity(n - 1))
+            for i in range(n - 2, k - 1, -1):
+                b = b * gen_g(d, n - 1, i)
+            assert a.embed(n) * gen_g(d, n, n - 1) * b.embed(n) \
+                == AlgebraElement.from_word(d, n, frm, perm)
+            step = _strip(d, frm, perm)
+            assert step[0] == "z"
+            assert list(step[1]) == [(c, f, p) for (f, p), c in (a * b).sorted_terms()]
