@@ -10,6 +10,7 @@ distinct subsets give distinct x.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -59,12 +60,19 @@ def check_modulus(d: int) -> None:
 
 
 def build_solution(d: int, D) -> ESolution:
+    """The solution of D, built and checked once per (d, sorted D mod d)."""
     check_modulus(d)
     subset = tuple(sorted(k % d for k in D))
     if not subset:
         raise ValueError("subset must be non-empty")
     if len(set(subset)) != len(subset):
         raise ValueError("subset has repeated residues")
+    return _solution(d, subset)
+
+
+# 512 holds all 502 subsets of every d <= MAX_ENUMERATE_D = 8.
+@functools.lru_cache(maxsize=512)
+def _solution(d: int, subset: tuple[int, ...]) -> ESolution:
     inv = Fraction(1, len(subset))
     x = []
     for m in range(d):

@@ -11,9 +11,21 @@ half-integer lambda_D power is tracked by parity instead of adjoining a
 square root.  Three families are supported: framed links (framed braid
 words), classical links (plain braid words) and singular links (words
 with tau letters).
+
+A word without framing letters takes a value that depends on D only
+through |D| (Chlouveraki, Juyumaya, Karvounis and Lambropoulou,
+"Identifying the invariants for classical knots and links from the
+Yokonuma-Hecke algebras", 2015; singular words follow by linearity, since
+p_i = (g_i^2 - 1)/(u - 1)).  So ``invariant`` traces such a word in
+Y_{|D|,n} at D' = Z/|D|Z, and only framed words go to Y_{d,n} at the
+request's own d; the value keeps the request's d and D.  The constants of a
+request are built once per process: the generator images (``algebra``), the
+solution of each (d, D) (``esystem.build_solution``), lambda_D and the
+normalisation z^-(n-1) lambda_D^k of each (|D|, n, k).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -30,6 +42,11 @@ FAMILIES = ("framed", "classical", "singular")
 # 200 ~2 min (2 vCPU, Python 3.11).  A braid on more strands is refused
 # rather than left to exhaust the stack or run for minutes.
 MAX_STRANDS = 64
+# The normalisation folds lambda_D^k with k = |eps - n + 1| // 2 into the
+# value, and that power is nearly all the work of a long word on few strands:
+# the largest allowed word, s1^82 (k = 40), takes 1.2-1.5 s (2 vCPU, Python
+# 3.11).  A larger k is refused before any work.
+MAX_LAMBDA_EXPONENT = 40
 
 _ALLOWED_KINDS = {
     "framed": ("classical", "framed"),
@@ -38,12 +55,23 @@ _ALLOWED_KINDS = {
 }
 
 
+# 528 pairs (d, |D|) with |D| <= d <= MAX_MODULUS = 32 exist.
+@functools.lru_cache(maxsize=528)
 def lambda_d(d: int, sizeD: int) -> RatFunc:
     """(|D| z + 1 - u) / (|D| u z); the d = 1 case is the Homflypt lambda."""
     if sizeD < 1:
         raise ValueError("|D| must be >= 1")
     m = RatFunc.const(sizeD)
     return (m * Z + 1 - U) / (m * U * Z)
+
+
+# 256 keys: tier-1 uses 114 and invariant_mix 29, and MAX_LAMBDA_EXPONENT
+# keeps one entry under ~0.4 MB.
+@functools.lru_cache(maxsize=256)
+def _normaliser(sizeD: int, n: int, half_steps: int) -> HalfPowerValue:
+    """z^-(n-1) lambda_D^(half_steps/2), the factor of every trace value;
+    lambda_D depends on |D| alone."""
+    return HalfPowerValue(Z ** (-(n - 1)), half_steps, lambda_d(sizeD, sizeD))
 
 
 @dataclass(frozen=True)
@@ -64,6 +92,10 @@ class InvariantRequest:
         if self.braid.n > MAX_STRANDS:
             raise ValueError(f"a braid on {self.braid.n} strands exceeds the "
                              f"budget of {MAX_STRANDS} strands")
+        k = abs(self.braid.epsilon() - self.braid.n + 1) // 2
+        if k > MAX_LAMBDA_EXPONENT:
+            raise ValueError(f"lambda exponent {k} exceeds the budget of "
+                             f"{MAX_LAMBDA_EXPONENT}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +133,13 @@ class InvariantValue:
 
 def invariant(req: InvariantRequest) -> InvariantValue:
     sol = build_solution(req.d, req.D)
-    image = map_to_algebra(req.braid, req.d)
-    t = Tracer(sol.d, sol.x[1:]).trace(image)
+    size = sol.size()
+    # without framing letters the value sees D only through |D|, so the word
+    # is traced in Y_{|D|,n} at D' = Z/|D|Z (see the module docstring)
+    at = sol if req.braid.kind == "framed" else build_solution(size, range(size))
+    t = Tracer(at.d, at.x[1:]).trace(map_to_algebra(req.braid, at.d))
     n, eps = req.braid.n, req.braid.epsilon()
-    lam = lambda_d(req.d, sol.size())
-    val = HalfPowerValue(t * Z ** (-(n - 1)), eps - (n - 1), lam)
+    val = _normaliser(size, n, eps - (n - 1)).scale(t)
     return InvariantValue(val, req.family, req.d, sol.D, n, eps)
 
 

@@ -102,8 +102,9 @@ def _power(base, e: int, one):
     while e:
         if e & 1:
             out = out * base
-        base = base * base
         e >>= 1
+        if e:  # the square after the top bit would go unused
+            base = base * base
     return out
 
 

@@ -12,7 +12,7 @@ from framelink import __version__
 from framelink.braids import parse_braid
 from framelink.cli import _cache_key, build_parser, cache_get, cache_put, main
 from framelink.esystem import MAX_MODULUS
-from framelink.invariants import homflypt
+from framelink.invariants import MAX_LAMBDA_EXPONENT, homflypt
 
 
 def run(capsys, *argv):
@@ -416,6 +416,17 @@ def test_each_subcommand_names_its_runner(capsys, argv):
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: framelink {argv[0]} ")
     assert callable(build_parser().parse_args(argv).run)
+
+
+def test_lambda_exponent_budget(capsys):
+    # a long word on few strands is refused before its lambda power is built
+    word = " ".join(["s1"] * (2 * MAX_LAMBDA_EXPONENT + 3))
+    for argv in (("homflypt", "--braid", word), ("jones", "--braid", word),
+                 ("invariant", "--family", "singular", "--d", "3", "--subset", "0,2",
+                  "--braid", word)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert f"budget of {MAX_LAMBDA_EXPONENT}" in err and "Traceback" not in err
 
 
 def test_modulus_budget(tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Invariant normalization, Markov invariance, skein checks, specializations."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 import oracle_hecke as oracle
+from framelink import algebra, esystem, invariants
+from framelink.algebra import map_to_algebra
 from framelink.braids import conjugate, parse_braid, stabilize
+from framelink.esystem import build_solution
 from framelink.invariants import (
+    MAX_LAMBDA_EXPONENT,
     InvariantRequest,
     compare_links,
     framed_jones,
@@ -17,7 +22,8 @@ from framelink.invariants import (
     lambda_d,
     verify_skein,
 )
-from framelink.scalars import RatFunc, RATFUNC_ONE, U, Z
+from framelink.scalars import HalfPowerValue, RatFunc, RATFUNC_ONE, U, Z
+from framelink.trace import Tracer
 from helpers import random_braid
 
 TREFOIL = parse_braid("s1 s1 s1")
@@ -187,3 +193,89 @@ def test_json_shape():
     assert out["family"] == "classical" and out["d"] == 1 and out["D"] == [0]
     assert out["n"] == 2 and out["epsilon"] == 3
     assert isinstance(out["value"], str) and out["value"]
+
+
+# -- the |D| reduction against the algebra at the request's own (d, D) -----
+
+
+def _direct_value(b, d, D) -> HalfPowerValue:
+    """z^-(n-1) lambda_D^((eps-n+1)/2) tr_D(image) in Y_{d,n} itself."""
+    sol = build_solution(d, D)
+    t = Tracer(d, sol.x[1:]).trace(map_to_algebra(b, d))
+    n = b.n
+    return HalfPowerValue(t * Z ** (-(n - 1)), b.epsilon() - (n - 1),
+                          lambda_d(d, len(sol.D)))
+
+
+def _subsets_to_check(rng, d):
+    """Every subset for d <= 3; at d = 4 the non-subgroups {0,1} and {1,3}
+    and one random subset of each size."""
+    if d <= 3:
+        return [D for k in range(1, d + 1) for D in itertools.combinations(range(d), k)]
+    return [(0, 1), (1, 3)] + [tuple(sorted(rng.sample(range(d), k)))
+                               for k in range(1, d + 1)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_direct_path_matches_invariant(d):
+    # invariant traces a word without framing letters at d' = |D|; here the
+    # same value is built in Y_{d,n} at the request's own D, with no reduction
+    rng = random.Random(4100 + d)
+    for D in _subsets_to_check(rng, d):
+        for family in ("classical", "singular", "classical", "singular"):
+            b = random_braid(rng, rng.randint(2, 3), rng.randint(1, 5), kind=family)
+            got = invariant(InvariantRequest(b, family, d, D))
+            want = _direct_value(b, d, D)
+            assert got.value == want, (d, D, b.render())
+            assert got.render() == want.render(), (d, D, b.render())
+            assert (got.d, got.D) == (d, tuple(sorted(D)))
+
+
+KNOTS = [parse_braid(w) for w in ("s1 s1 s1", "s1 -s2 s1 -s2", "s1 s2 s1 s2 s1 s2 s1 s2")]
+KNOT_SUBSETS = [(2, (0, 1)), (2, (1,)), (3, (0, 2)), (3, (0, 1, 2)), (4, (0, 1)),
+                (4, (1, 2, 3))]
+
+
+def _scaled_homflypt(b, size) -> HalfPowerValue:
+    return homflypt(b).value.substitute({"z": RatFunc.const(size) * Z})
+
+
+@pytest.mark.parametrize("knot", KNOTS, ids=lambda b: b.render())
+def test_knots_are_homflypt_at_scaled_z(knot):
+    # on a knot the invariant is Homflypt with z -> |D| z (Chlouveraki and
+    # Lambropoulou, "The Yokonuma-Hecke algebras and the HOMFLYPT polynomial")
+    for d, D in KNOT_SUBSETS:
+        got = invariant(InvariantRequest(knot, "classical", d, D)).value
+        want = _scaled_homflypt(knot, len(D))
+        assert got == want, (d, D)
+        assert got.base == want.base == lambda_d(d, len(D))
+
+
+@pytest.mark.parametrize("word", ["s1 s1", "s1 s1 s1 s1", "s1 -s1"])
+def test_links_are_not_scaled_homflypt(word):
+    # a two-component link tells |D| >= 2 apart from that substitution, so
+    # the invariant is not Homflypt in disguise
+    b = parse_braid(word)
+    for d, D in [(d, D) for d, D in KNOT_SUBSETS if len(D) >= 2]:
+        got = invariant(InvariantRequest(b, "classical", d, D)).value
+        assert not got == _scaled_homflypt(b, len(D)), (d, D)
+
+
+def test_lambda_exponent_budget():
+    # k = |eps - n + 1| // 2 is known from the word alone
+    top = 2 * MAX_LAMBDA_EXPONENT + 1
+    InvariantRequest(parse_braid(" ".join(["s1"] * (top + 1))), "classical", 1)
+    for word in (["s1"] * (top + 2), ["-s1"] * top):
+        b = parse_braid(" ".join(word))
+        with pytest.raises(ValueError, match="lambda exponent") as exc:
+            homflypt(b)
+        assert "\n" not in str(exc.value)
+    with pytest.raises(ValueError, match="lambda exponent"):
+        framed_jones(parse_braid(" ".join(["t1 s1"] * (top + 2))), 2, (0, 1))
+
+
+def test_constant_caches_are_bounded():
+    for cached in (algebra.gen_g, algebra.gen_t, algebra.idempotent_e,
+                   algebra.inverse_g, algebra.p_elem, esystem._solution,
+                   invariants.lambda_d, invariants._normaliser):
+        assert cached.cache_info().maxsize is not None, cached
