@@ -10,12 +10,24 @@ t_j g_i = g_i t_{s_i(j)}, and the quadratic relation
 
 so d = 1 is the Iwahori-Hecke algebra with h_i^2 = (u - 1) h_i + u.
 
-Multiplication keeps everything in normal form: a product g_x g_i with
-l(x s_i) < l(x) rewrites to g_{x s_i} + (u-1) g_{x s_i} e_i + (u-1) g_x e_i,
-and the framings of e_i are transported to the left through g (replacing the
-strand indices i, i+1 by their images), which follows from the defining
-relations together with e_i g_i = g_i e_i.  Word-by-word products are cached
-independently of any trace parameters.
+Multiplication keeps everything in normal form, one generator at a time on
+the right (Juyumaya, "Markov trace on the Yokonuma-Hecke algebra", 2004).
+For a word t^a g_x and a letter at position i, write x' = x s_i and
+e' = (1/d) sum_s t_{x(i)}^s t_{x(i+1)}^{-s}; since x' swaps x(i) and x(i+1),
+one set of framings serves both perms, and e' commutes with t^a.  Then
+t^a g_x times
+
+* g_i is t^a g_{x'} on an ascent (l(x') > l(x)), and
+  t^a (g_{x'} + (u-1) e' g_{x'} + (u-1) e' g_x) on a descent;
+* g_i^{-1} is t^a g_{x'} on a descent, and
+  t^a (g_{x'} + (u^{-1}-1) e' g_x + (u^{-1}-1) e' g_{x'}) on an ascent;
+* p_i = e_i (1 + g_i) is c t^a e' (g_x + g_{x'}), with c = 1 on an ascent
+  and c = u on a descent;
+* t_j^k adds k to the framing of strand x(j).
+
+_times_letter applies these rules; the word products behind __mul__, the
+braid-word map and basis_walk all go through it.  Word-by-word products are
+cached independently of any trace parameters.
 """
 from __future__ import annotations
 
@@ -30,42 +42,62 @@ from .scalars import Poly, RatFunc, RATFUNC_ONE, U, _power
 BasisWord = tuple[tuple[int, ...], perms.Perm]  # (framings, permutation)
 
 
-@functools.lru_cache(maxsize=None)
-def _quad_coeff(d: int) -> RatFunc:
-    """(u - 1)/d, the coefficient of every e_i framing monomial in g_i^2."""
-    return (U - 1) / RatFunc.const(d)
+# One entry per d <= esystem.MAX_MODULUS = 32, the cap on every --d.
+@functools.lru_cache(maxsize=32)
+def _step_coeffs(d: int) -> dict:
+    """Per letter kind, (has the term g_{x'}, constant of e' (g_x + g_{x'}) on
+    an ascent, the same on a descent); None where that rule has no e' terms."""
+    quad = (U - 1) / RatFunc.const(d)
+    inv_quad = (U ** -1 - 1) / RatFunc.const(d)
+    return {"g": (True, None, quad), "g-1": (True, inv_quad, None),
+            "p": (False, RatFunc.const(Fraction(1, d)), U / RatFunc.const(d))}
 
 
-@functools.lru_cache(maxsize=None)
+def _times_letter(terms: dict[BasisWord, RatFunc], d: int, letter) -> dict[BasisWord, RatFunc]:
+    """terms right-multiplied by the image of one braid letter (module
+    docstring), with zero terms dropped."""
+    tag, i = letter[0], letter[1]
+    if tag == "t":  # a bijection on words: nothing merges or cancels
+        out = {}
+        for (f, x), c in terms.items():
+            fa = list(f)
+            fa[x[i - 1] - 1] = (fa[x[i - 1] - 1] + letter[2]) % d
+            out[(tuple(fa), x)] = c
+        return out
+    lead, on_ascent, on_descent = _step_coeffs(d)[
+        "p" if tag == "x" else "g" if letter[2] > 0 else "g-1"]
+    out = {}
+    for (f, x), c in terms.items():
+        xp = perms.right_mul_s(x, i)
+        if lead:
+            _bump(out, (f, xp), c)
+        k = on_ascent if perms.ascends(x, i) else on_descent
+        if k is None:
+            continue
+        ck = k if c is RATFUNC_ONE else c * k
+        a, b = x[i - 1], x[i]
+        for s in range(d):
+            fs = list(f)
+            fs[a - 1] = (fs[a - 1] + s) % d
+            fs[b - 1] = (fs[b - 1] - s) % d
+            fs = tuple(fs)
+            _bump(out, (fs, xp), ck)
+            _bump(out, (fs, x), ck)
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+# Called from __mul__ and trace._strip only.  Tier-1 fills 3,469 keys in one
+# process, quotient_grid 799 and invariant_mix ~75 (warm-up + 600 requests);
+# 16,384 is over 4x the largest, and an evicted product is only recomputed.
+@functools.lru_cache(maxsize=16384)
 def _word_product(d: int, v: perms.Perm, bf: tuple[int, ...], w: perms.Perm):
     """Normal form of g_v * (t^bf g_w) as ((coeff, framings, perm), ...)."""
     inv_v = perms.inverse(v)
     pushed = tuple(bf[inv_v[j] - 1] for j in range(len(bf)))
-    acc: dict[BasisWord, RatFunc] = {(pushed, v): RATFUNC_ONE}
-    quad = _quad_coeff(d)
+    terms: dict[BasisWord, RatFunc] = {(pushed, v): RATFUNC_ONE}
     for i in perms.reduced_word(w):
-        out: dict[BasisWord, RatFunc] = {}
-        for (f, x), c in acc.items():
-            if perms.ascends(x, i):
-                _bump(out, (f, perms.right_mul_s(x, i)), c)
-                continue
-            xp = perms.right_mul_s(x, i)
-            _bump(out, (f, xp), c)
-            cc = c * quad
-            # strand labels carrying the transported e_i framings
-            pa, pb = xp[i - 1], xp[i]   # x'(i), x'(i+1)
-            qa, qb = x[i - 1], x[i]     # x(i), x(i+1)
-            for s in range(d):
-                fa = list(f)
-                fa[pa - 1] = (fa[pa - 1] + s) % d
-                fa[pb - 1] = (fa[pb - 1] + d - s) % d
-                _bump(out, (tuple(fa), xp), cc)
-                fb = list(f)
-                fb[qa - 1] = (fb[qa - 1] + s) % d
-                fb[qb - 1] = (fb[qb - 1] + d - s) % d
-                _bump(out, (tuple(fb), x), cc)
-        acc = out
-    return tuple((c, f, p) for (f, p), c in acc.items() if not c.is_zero())
+        terms = _times_letter(terms, d, ("s", i, 1))
+    return tuple((c, f, p) for (f, p), c in terms.items())
 
 
 def _bump(out: dict, key, c: RatFunc) -> None:
@@ -216,13 +248,15 @@ def split_basis(d: int, n: int) -> Iterator[BasisWord]:
 def basis_walk(elem: AlgebraElement) -> Iterator[tuple[BasisWord, AlgebraElement]]:
     """(c, elem * c) for every split-basis word c, in split_basis order: each
     framing block opens with elem * t^a, and elem * t^a g_w is
-    (elem * t^a g_{w'}) * g_i for the last letter i of reduced_word(w) and
-    w' = w s_i, which all_perms lists before w (s_i sorts a descent)."""
+    (elem * t^a g_{w'}) right-multiplied by g_i through _times_letter, for the
+    last letter i of reduced_word(w) and w' = w s_i, which all_perms lists
+    before w (s_i sorts a descent)."""
     d, n = elem.d, elem.n
     for frm, w in split_basis(d, n):
         word = perms.reduced_word(w)
         if word:
-            done[w] = done[perms.right_mul_s(w, word[-1])] * gen_g(d, n, word[-1])
+            prev = done[perms.right_mul_s(w, word[-1])]
+            done[w] = AlgebraElement(d, n, _times_letter(prev.terms, d, ("s", word[-1], 1)))
         else:  # the identity comes first in each framing block
             done = {w: elem * AlgebraElement.from_word(d, n, frm, w)}
         yield (frm, w), done[w]
@@ -234,7 +268,8 @@ def basis_walk(elem: AlgebraElement) -> Iterator[tuple[BasisWord, AlgebraElement
 
 # The generator images below are built once per process and shared, which is
 # safe because AlgebraElement is immutable.  256 per builder is enough:
-# tier-1 builds at most 125 images of one builder, invariant_mix 28.
+# tier-1 builds at most 136 images of one builder and quotient_grid 6;
+# map_to_algebra builds none, so invariant_mix builds none.
 _image_cache = functools.lru_cache(maxsize=256)
 
 
@@ -321,18 +356,12 @@ def quotient_generator(kind: str, d: int, n: int, i: int) -> AlgebraElement:
 
 def map_to_algebra(b: braids.BraidWord, d: int) -> AlgebraElement:
     """Monoid map on words: sigma_i -> g_i, sigma_i^{-1} -> g_i^{-1},
-    t_j^k -> t_j^{k mod d}, tau_i -> p_i."""
-    n = b.n
-    out = AlgebraElement.unit(d, n)
+    t_j^k -> t_j^{k mod d}, tau_i -> p_i, applied one letter at a time from
+    the unit on."""
+    terms = AlgebraElement.unit(d, b.n).terms
     for letter in b.letters:
-        if letter[0] == "s":
-            factor = gen_g(d, n, letter[1]) if letter[2] > 0 else inverse_g(d, n, letter[1])
-        elif letter[0] == "t":
-            factor = gen_t(d, n, letter[1], letter[2])
-        else:
-            factor = p_elem(d, n, letter[1])
-        out = out * factor
-    return out
+        terms = _times_letter(terms, d, letter)
+    return AlgebraElement(d, b.n, terms)
 
 
 # ---------------------------------------------------------------------------

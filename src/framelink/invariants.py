@@ -19,9 +19,9 @@ Yokonuma-Hecke algebras", 2015; singular words follow by linearity, since
 p_i = (g_i^2 - 1)/(u - 1)).  So ``invariant`` traces such a word in
 Y_{|D|,n} at D' = Z/|D|Z, and only framed words go to Y_{d,n} at the
 request's own d; the value keeps the request's d and D.  The constants of a
-request are built once per process: the generator images (``algebra``), the
-solution of each (d, D) (``esystem.build_solution``), lambda_D and the
-normalisation z^-(n-1) lambda_D^k of each (|D|, n, k).
+request are built once per process: the per-d constants of the letter rules
+(``algebra``), the solution of each (d, D) (``esystem.build_solution``),
+lambda_D and the normalisation z^-(n-1) lambda_D^k of each (|D|, n, k).
 """
 from __future__ import annotations
 

@@ -64,6 +64,7 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
+    _times_letter,
     basis_walk,
     gen_g,
     gen_t,
@@ -107,15 +108,17 @@ class QuotientCheck:
 @functools.lru_cache(maxsize=None)
 def _conjugation_certificate(d: int) -> bool:
     """Generic-mode check that the trace is invariant under cyclic moves
-    by every generator; extends to tr(ab) = tr(ba) by induction on words."""
+    by every generator; extends to tr(ab) = tr(ba) by induction on words.
+    c w is c right-multiplied by one letter; w c is a plain product."""
     tracer = Tracer(d)
-    gens = [gen_g(d, _N, i) for i in range(1, _N)]
+    gens = [(("s", i, 1), gen_g(d, _N, i)) for i in range(1, _N)]
     if d > 1:
-        gens.append(gen_t(d, _N, 1))
+        gens.append((("t", 1, 1), gen_t(d, _N, 1)))
     for frm, perm in split_basis(d, _N):
         c = AlgebraElement.from_word(d, _N, frm, perm)
-        for w in gens:
-            if tracer.trace(c * w) != tracer.trace(w * c):
+        for letter, w in gens:
+            cw = AlgebraElement(d, _N, _times_letter(c.terms, d, letter))
+            if tracer.trace(cw) != tracer.trace(w * c):
                 return False
     return True
 

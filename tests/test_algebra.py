@@ -8,6 +8,7 @@ import pytest
 from framelink import perms
 from framelink.algebra import (
     AlgebraElement,
+    _times_letter,
     basis_walk,
     gen_g,
     gen_t,
@@ -20,7 +21,7 @@ from framelink.algebra import (
     steinberg,
     verify_relation,
 )
-from framelink.braids import parse_braid
+from framelink.braids import BraidWord, parse_braid
 from framelink.scalars import Fraction, RatFunc, U
 from helpers import random_element
 
@@ -266,3 +267,66 @@ def test_embed_is_multiplicative():
         a = random_element(rng, d, 2)
         b = random_element(rng, d, 2)
         assert (a * b).embed(3) == a.embed(3) * b.embed(3)
+
+
+# -- the per-letter rules, against products of the generator images ----------
+
+
+def _image(d, n, letter):
+    if letter[0] == "s":
+        return gen_g(d, n, letter[1]) if letter[2] > 0 else inverse_g(d, n, letter[1])
+    if letter[0] == "t":
+        return gen_t(d, n, letter[1], letter[2])
+    return p_elem(d, n, letter[1])
+
+
+def _letters(n, d):
+    """Every letter on n strands: sigma_i^{+-1} and tau_i at each position, and
+    t_j^k with k = 1, d + 1 (reduced mod d) and -1 at each strand."""
+    out = [(tag, i, e) for i in range(1, n) for tag, e in (("s", 1), ("s", -1))]
+    out += [("x", i) for i in range(1, n)]
+    out += [("t", j, k) for j in range(1, n + 1) for k in (1, d + 1, -1)]
+    return out
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_each_letter_rule(d):
+    # every split-basis word of Y_{d,3}, with a coefficient that is not 1,
+    # times every letter: the rules equal the product with the letter's image
+    n, coeff = 3, U + 2
+    for word in split_basis(d, n):
+        elem = AlgebraElement.from_word(d, n, *word, coeff=coeff)
+        for letter in _letters(n, d):
+            got = AlgebraElement(d, n, _times_letter(elem.terms, d, letter))
+            assert got == elem * _image(d, n, letter), (word, letter)
+
+
+def test_map_to_algebra_matches_generator_products():
+    # seeded words of all three families at d <= 3, n <= 4: inverse letters
+    # at ascents and descents (s1 -s1 reaches a descent), tau letters, and
+    # framings t_j^k with k >= d
+    rng = random.Random(1402)
+    checked = 0
+    for d in DS:
+        for n in (2, 3, 4):
+            words = [parse_braid(f"n={n} -s1 s1 -s1 x1 s1 x1"),
+                     parse_braid(f"n={n} t1^{d + 1} -s1 s1 t2^{2 * d} -s1")]
+            for family in ("classical", "framed", "singular"):
+                for _ in range(6):
+                    letters = []
+                    for _ in range(rng.randint(1, 7)):
+                        roll = rng.random()
+                        if family == "framed" and roll < 0.3:
+                            letters.append(("t", rng.randint(1, n), rng.randint(1, 2 * d + 1)))
+                        elif family == "singular" and roll < 0.3:
+                            letters.append(("x", rng.randint(1, n - 1)))
+                        else:
+                            letters.append(("s", rng.randint(1, n - 1), rng.choice((1, -1))))
+                    words.append(BraidWord(letters, n=n))
+            for b in words:
+                want = AlgebraElement.unit(d, n)
+                for letter in b.letters:
+                    want = want * _image(d, n, letter)
+                assert map_to_algebra(b, d) == want, (d, b.render())
+                checked += 1
+    assert checked == 180
