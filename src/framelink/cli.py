@@ -412,6 +412,13 @@ def _run_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse before Python 3.12 takes the value of "--braid=--" for the
+    # "--" separator and stores [] instead of a string
+    for dest, value in vars(args).items():
+        if value == []:
+            print(f"error: argument --{dest.replace('_', '-')}: '--' is not a value",
+                  file=sys.stderr)
+            return 2
     if hasattr(args, "cache") and args.cache is None:
         args.cache = os.environ.get(CACHE_ENV)
     try:

@@ -22,17 +22,30 @@ request's own d; the value keeps the request's d and D.  The constants of a
 request are built once per process: the per-d constants of the letter rules
 (``algebra``), the solution of each (d, D) (``esystem.build_solution``),
 lambda_D and the normalisation z^-(n-1) lambda_D^k of each (|D|, n, k).
+
+``jones`` and ``framed_jones`` take the value at z0 = -1/((u+1)|D|), where
+lambda_D(z0) = u (Goundaroulis, Juyumaya, Kontogeorgis and Lambropoulou,
+"Framization of the Temperley-Lieb algebra", 2013).  The trace at formal z
+is tr = sum_{j<n} c_j z^j with each c_j a Laurent polynomial in u, so with
+w = 1/z0 = -(u+1)|D| and h = eps - (n-1) the value is
+
+    u^{floor(h/2)} sum_j c_j w^{n-1-j}    (times sqrt(u) when h is odd),
+
+one Horner pass over c_0, c_1, ..., c_{n-1}.  It is a Laurent polynomial in
+u, reached with no rational substitution and no division.  Such a request
+still runs through ``invariant``, which maps and traces every request in
+one place and lets the request finish the value.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import map_to_algebra
 from .braids import BraidWord, framing, sigma, tau
 from .esystem import build_solution
-from .scalars import HalfPowerValue, RatFunc, U, Z
+from .scalars import HalfPowerValue, Poly, RatFunc, U, Z
 from .trace import Tracer
 
 FAMILIES = ("framed", "classical", "singular")
@@ -97,6 +110,32 @@ class InvariantRequest:
             raise ValueError(f"lambda exponent {k} exceeds the budget of "
                              f"{MAX_LAMBDA_EXPONENT}")
 
+    def _finish(self, t: RatFunc, size: int) -> HalfPowerValue:
+        """The value from the trace t at formal z: z^-(n-1) lambda_D^(h/2) t."""
+        n = self.braid.n
+        return _normaliser(size, n, self.braid.epsilon() - (n - 1)).scale(t)
+
+
+@dataclass(frozen=True)
+class _JonesPoint(InvariantRequest):
+    """A request valued at z0 = -1/((u+1)|D|), where lambda_D(z0) = u."""
+
+    def _finish(self, t: RatFunc, size: int) -> HalfPowerValue:
+        """u^(h/2) sum_j c_j w^(n-1-j) for t = sum_j c_j z^j and
+        w = 1/z0 = -(u+1)|D|, by Horner from c_0 up (see the module
+        docstring); t's denominator is a power of u, kept as it is."""
+        if t.den.variables() - {"u"}:
+            raise AssertionError("a trace value has z in its denominator")
+        n = self.braid.n
+        coeffs: list[dict] = [{} for _ in range(n)]
+        for mono, c in t.num.terms.items():
+            coeffs[dict(mono).get("z", 0)][tuple(v for v in mono if v[0] != "z")] = c
+        w = Poly({(("u", 1),): -size, (): -size})
+        acc = Poly.zero()
+        for c in coeffs:
+            acc = acc * w + Poly(c)
+        return HalfPowerValue(RatFunc(acc, t.den), self.braid.epsilon() - (n - 1), U)
+
 
 @dataclass(frozen=True, eq=False)
 class InvariantValue:
@@ -138,9 +177,8 @@ def invariant(req: InvariantRequest) -> InvariantValue:
     # is traced in Y_{|D|,n} at D' = Z/|D|Z (see the module docstring)
     at = sol if req.braid.kind == "framed" else build_solution(size, range(size))
     t = Tracer(at.d, at.x[1:]).trace(map_to_algebra(req.braid, at.d))
-    n, eps = req.braid.n, req.braid.epsilon()
-    val = _normaliser(size, n, eps - (n - 1)).scale(t)
-    return InvariantValue(val, req.family, req.d, sol.D, n, eps)
+    return InvariantValue(req._finish(t, size), req.family, req.d, sol.D,
+                          req.braid.n, req.braid.epsilon())
 
 
 def homflypt(b: BraidWord) -> InvariantValue:
@@ -148,17 +186,17 @@ def homflypt(b: BraidWord) -> InvariantValue:
 
 
 def jones(b: BraidWord) -> InvariantValue:
-    """Homflypt at z = -1/(u+1)."""
-    val = invariant(InvariantRequest(b, "classical", 1, (0,)))
-    zval = RatFunc.const(-1) / (U + 1)
-    return replace(val, value=val.value.substitute({"z": zval}))
+    """Homflypt at z = -1/(u+1), read off the trace polynomial
+    tr = sum_j c_j z^j as u^(h/2) sum_j c_j w^(n-1-j) with w = -(u+1) and
+    h = eps - (n-1), since lambda(-1/(u+1)) = u."""
+    return invariant(_JonesPoint(b, "classical", 1, (0,)))
 
 
 def framed_jones(b: BraidWord, d: int, D) -> InvariantValue:
-    """The framed invariant at z = -1/((u+1)|D|), |D| read off the built solution."""
-    val = invariant(InvariantRequest(b, "framed", d, tuple(D)))
-    zval = RatFunc.const(-1) / ((U + 1) * RatFunc.const(len(val.D)))
-    return replace(val, value=val.value.substitute({"z": zval}))
+    """The framed invariant at z = -1/((u+1)|D|), |D| read off the built
+    solution: lambda_D there is u, and with w = -(u+1)|D| the value is
+    u^(h/2) sum_j c_j w^(n-1-j) for the trace polynomial sum_j c_j z^j."""
+    return invariant(_JonesPoint(b, "framed", d, tuple(D)))
 
 
 # -- skein relations ---------------------------------------------------------

@@ -71,7 +71,7 @@ from .algebra import (
     quotient_generator,
     split_basis,
 )
-from .esystem import fourier_transform
+from .esystem import MAX_MODULUS, fourier_transform
 from .scalars import Poly, RatFunc, RATFUNC_ZERO, U
 from .trace import Tracer
 
@@ -105,7 +105,8 @@ class QuotientCheck:
         return out
 
 
-@functools.lru_cache(maxsize=None)
+# One entry per d <= MAX_MODULUS, the cap on every d.
+@functools.lru_cache(maxsize=MAX_MODULUS)
 def _conjugation_certificate(d: int) -> bool:
     """Generic-mode check that the trace is invariant under cyclic moves
     by every generator; extends to tr(ab) = tr(ba) by induction on words.
@@ -123,7 +124,8 @@ def _conjugation_certificate(d: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
+# One entry per (kind, d) with d <= MAX_MODULUS.
+@functools.lru_cache(maxsize=len(KINDS) * MAX_MODULUS)
 def _generic_scan(kind: str, d: int) -> tuple:
     """The kept words of the generic scan, as ((word, tr(gen . word)), ...).
 

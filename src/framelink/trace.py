@@ -24,7 +24,11 @@ from __future__ import annotations
 from .algebra import AlgebraElement, _word_product
 from .scalars import RatFunc, RATFUNC_ONE, RATFUNC_ZERO, Z, x_var
 
-# (d, frm, perm) -> ("x", m, (frm', perm')) | ("z", ((coeff, frm', perm'), ...))
+# (d, frm, perm) -> ("x", m, (frm', perm')) | ("z", ((coeff, frm', perm'), ...)),
+# dropping its oldest key when full.  Tier-1 fills 8,985 keys in one process,
+# invariant_mix at most 411 and quotient_grid 250 (warm-up + 600 requests);
+# 40,000 is over 4x the largest, and a dropped step is only recomputed.
+_STRIP_MAX = 40_000
 _STRIP: dict[tuple, tuple] = {}
 
 
@@ -47,6 +51,8 @@ def _strip(d: int, frm: tuple, perm: tuple) -> tuple:
             ((c, tuple((a + b) % d for a, b in zip(frm[: n - 1], f)), p)
              for c, f, p in _word_product(d, v, bfrm, tail)),
             key=lambda t: t[1:])))
+    if len(_STRIP) >= _STRIP_MAX:
+        del _STRIP[next(iter(_STRIP))]
     _STRIP[key] = out
     return out
 

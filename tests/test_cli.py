@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 import re
 import sys
 import threading
@@ -12,7 +13,8 @@ from framelink import __version__
 from framelink.braids import parse_braid
 from framelink.cli import _cache_key, build_parser, cache_get, cache_put, main
 from framelink.esystem import MAX_MODULUS
-from framelink.invariants import MAX_LAMBDA_EXPONENT, homflypt
+from framelink.invariants import MAX_LAMBDA_EXPONENT, InvariantRequest, homflypt, invariant
+from framelink.scalars import RatFunc, U, parse_ratfunc
 
 
 def run(capsys, *argv):
@@ -456,3 +458,83 @@ def test_missing_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["jones"])
     assert exc.value.code == 2
+
+
+# -- seeded fuzz at the command line ---------------------------------------------
+
+_FUZZ_CROSSINGS = ("s1", "-s1", "s2", "-s2", "s3", "-s3")
+_FUZZ_EXTRA = ((), ("t1", "t2^2", "t3^5", "t1^-1", "t4^3"), ("x1", "x2"))
+_FUZZ_MALFORMED = ("s0", "s", "q1", "t1^", "-t1", "s1^2", "x0", "n=0", "n=-1", "n=2",
+                   "s65", "t1^99999999999999", "t0", "x99", "s1e3", "--", "-", "é")
+_SQRT = " * sqrt(lambda_D)"
+
+
+def _fuzz_word(rng):
+    """Crossings, plus framing or tau letters for some words; one token in
+    twelve is malformed."""
+    pool = _FUZZ_CROSSINGS + rng.choice(_FUZZ_EXTRA)
+    tokens = ["n=4"] if rng.random() < 0.2 else []
+    for _ in range(rng.randint(0, 5)):
+        tokens.append(rng.choice(_FUZZ_MALFORMED if rng.random() < 1 / 12 else pool))
+    return " ".join(tokens)
+
+
+def _fuzz_argv(rng, tmp_path):
+    command = rng.choice(("jones", "framed-jones", "invariant", "homflypt", "batch"))
+    d = rng.choice((0, 33, 1, 2, 2, 3, 3))
+    argv = [command]
+    if command in ("framed-jones", "invariant", "batch"):
+        subset = rng.choice(("", "-1", "0,0", "1,1", str(d + 1), "0", "0", "0,1", "0,1",
+                             "1,2", "0,1,2", "0,,1", "a", "--"))
+        argv += ["--d", str(d), f"--subset={subset}"]
+    if command in ("invariant", "batch"):
+        argv += ["--family", rng.choice(("classical", "framed", "singular"))]
+    if command == "batch":
+        src = tmp_path / "words.txt"
+        src.write_bytes(b"\xff s1\n" if rng.random() < 0.1 else
+                        "\n".join(_fuzz_word(rng) for _ in range(3)).encode("utf-8"))
+        argv += ["--file", str(src)]
+    else:
+        argv += [f"--braid={_fuzz_word(rng)}", "--json"][: rng.randint(1, 3)]
+    if rng.random() < 0.3:
+        argv += ["--cache", str(tmp_path / "cache.jsonl")]
+    return argv
+
+
+def _substitution_route(record):
+    """The record's value by the z-substitution route, built in the test."""
+    family = "framed" if record["family"] == "framed" else "classical"
+    D = tuple(record["D"])
+    formal = invariant(InvariantRequest(parse_braid(record["braid"]), family,
+                                        record["d"], D))
+    zval = RatFunc.const(-1) / ((U + 1) * RatFunc.const(len(D)))
+    return formal.value.substitute({"z": zval})
+
+
+def test_seeded_cli_fuzz(tmp_path, capsys):
+    # random and malformed words, subsets and moduli end with exit 0, 1 or 2
+    # and no traceback; exit 2 is one line on stderr, and every --json Jones
+    # value parses back to the value of the z-substitution route
+    rng = random.Random(1502)
+    fixed = [["jones", "--braid=--"], ["framed-jones", "--d=--", "--braid=s1"],
+             ["invariant", "--family", "framed", "--d", "2", "--subset=--",
+              "--braid", "s1"], ["batch", "--file=--"]]
+    codes, checked = [], 0
+    for argv in fixed + [_fuzz_argv(rng, tmp_path) for _ in range(400)]:
+        code, out, err = run(capsys, *argv)
+        codes.append(code)
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        if code == 2:
+            assert len(err.splitlines()) == 1, argv
+        if code == 0 and argv[0] in ("jones", "framed-jones") and "--json" in argv:
+            record = json.loads(out)
+            record["braid"] = next(a for a in argv if a.startswith("--braid="))[8:]
+            text, half = record["value"], record["value"].endswith(_SQRT)
+            if half:
+                text = text[: -len(_SQRT)]
+            want = _substitution_route(record)
+            assert parse_ratfunc(text) == want.value and int(half) == want.half, argv
+            assert record["value"] == want.render(), argv
+            checked += 1
+    assert all(code == 2 for code in codes[: len(fixed)])
+    assert codes.count(0) > 50 and codes.count(2) > 50 and checked > 30

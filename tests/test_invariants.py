@@ -7,9 +7,9 @@ import random
 import pytest
 
 import oracle_hecke as oracle
-from framelink import algebra, esystem, invariants
+from framelink import algebra, esystem, invariants, quotients, trace
 from framelink.algebra import map_to_algebra
-from framelink.braids import conjugate, parse_braid, stabilize
+from framelink.braids import BraidWord, conjugate, parse_braid, stabilize
 from framelink.esystem import build_solution
 from framelink.invariants import (
     MAX_LAMBDA_EXPONENT,
@@ -278,5 +278,96 @@ def test_constant_caches_are_bounded():
     for cached in (algebra.gen_g, algebra.gen_t, algebra.idempotent_e,
                    algebra.inverse_g, algebra.p_elem, algebra._step_coeffs,
                    algebra._word_product, esystem._solution,
-                   invariants.lambda_d, invariants._normaliser):
+                   invariants.lambda_d, invariants._normaliser,
+                   quotients._generic_scan, quotients._conjugation_certificate):
         assert cached.cache_info().maxsize is not None, cached
+
+
+def test_strip_table_is_bounded(monkeypatch):
+    # the strip table is a plain dict that drops its oldest key when full;
+    # a dropped step is recomputed, so the values stay the same
+    b = parse_braid("t1 s1 -s2 t3^2 s1 s2 -s1 t2")
+    sol = build_solution(2, (0, 1))
+    want = Tracer(2, sol.x[1:]).trace(map_to_algebra(b, 2))
+    monkeypatch.setattr(trace, "_STRIP_MAX", 5)
+    monkeypatch.setattr(trace, "_STRIP", {})
+    got = Tracer(2, sol.x[1:]).trace(map_to_algebra(b, 2))
+    assert got == want
+    assert len(trace._STRIP) == 5
+
+
+# -- Jones values against the z-substitution route -----------------------------
+
+
+def _substituted(b, family, d, D):
+    """The formal-z invariant with z = -1/((u+1)|D|) substituted, built
+    without the Jones path."""
+    formal = invariant(InvariantRequest(b, family, d, D))
+    zval = RatFunc.const(-1) / ((U + 1) * RatFunc.const(len(formal.D)))
+    return formal, formal.value.substitute({"z": zval})
+
+
+def _jones_word(rng, n, length, framed, d):
+    """A word on n strands; a framed one gets a t letter, with exponents up
+    to 2d so that some reach past d."""
+    if not framed:
+        return BraidWord([("s", rng.randint(1, n - 1), rng.choice((1, 1, -1)))
+                          for _ in range(length if n > 1 else 0)], n=n)
+    letters = [("t", rng.randint(1, n), rng.randint(1, 2 * d))]
+    for _ in range(length - 1):
+        if n > 1 and rng.random() < 0.7:
+            letters.append(("s", rng.randint(1, n - 1), rng.choice((1, 1, -1))))
+        else:
+            letters.append(("t", rng.randint(1, n), rng.randint(1, 2 * d)))
+    rng.shuffle(letters)
+    return BraidWord(letters, n=n)
+
+
+def _assert_same_jones(got, b, family, d, D):
+    formal, want = _substituted(b, family, d, D)
+    assert got.value.value == want.value, (d, D, b.render())
+    assert got.value.half == want.half, (d, D, b.render())
+    assert got.value.base == U and want.base == U
+    assert got.render() == want.render(), (d, D, b.render())
+    assert got.to_json() == dict(formal.to_json(), value=want.render())
+    assert (got.family, got.d, got.D, got.n, got.epsilon) == \
+        (formal.family, formal.d, formal.D, formal.n, formal.epsilon)
+
+
+def test_jones_values_match_the_substitution_route():
+    # every non-empty D for d <= 3, n = 1..4, classical and framed words;
+    # the cases must reach odd and even h = eps - (n-1), negative and
+    # positive f = floor(h/2), and every z-degree 0..n-1 of the trace
+    rng = random.Random(1501)
+    seen = set()
+    case = 0
+    for d in (1, 2, 3):
+        for D in _subsets_to_check(rng, d):
+            for n in (1, 2, 3, 4):
+                for framed in (False, True):
+                    case += 1
+                    length = case % (7 if n < 4 or d < 3 else 5)
+                    b = _jones_word(rng, n, length, framed, d)
+                    _assert_same_jones(framed_jones(b, d, D), b, "framed", d, D)
+                    if not framed:
+                        _assert_same_jones(jones(b), b, "classical", 1, (0,))
+                    h = b.epsilon() - (n - 1)
+                    t = Tracer(d, build_solution(d, D).x[1:]).trace(map_to_algebra(b, d))
+                    seen |= {("h", h % 2), ("f", (h // 2 > 0) - (h // 2 < 0)),
+                             ("z", n, t.num.degree_in("z"))}
+    assert {("h", 0), ("h", 1), ("f", -1), ("f", 1)} <= seen
+    assert {("z", n, j) for n in (1, 2, 3, 4) for j in range(n)} <= seen
+
+
+def test_jones_values_substitute_nothing(monkeypatch):
+    # the Jones path reads the value off the trace polynomial; a call of the
+    # rational substitution would mean the slow route came back
+    def refuse(*args, **kwargs):
+        raise AssertionError("substitute called")
+
+    monkeypatch.setattr(RatFunc, "substitute", refuse)
+    monkeypatch.setattr(HalfPowerValue, "substitute", refuse)
+    assert jones(TREFOIL).value.value == -(U ** 4) + U ** 3 + U
+    assert jones(parse_braid("-s1 -s1")).value.half == 1
+    framed_jones(parse_braid("t1 s1 -s2 t3^2 s1"), 3, (0, 2))
+    framed_jones(FIG8, 2, (0, 1))
