@@ -25,37 +25,106 @@ t^a g_x times
   and c = u on a descent;
 * t_j^k adds k to the framing of strand x(j).
 
+Coefficients.  In this basis every coefficient of a braid's image is a
+Laurent polynomial in u with integer coefficients, divided by a power of d.
+So a coefficient is a dict {u exponent: nonzero int}, and an element holds
+one positive integer denominator ``den`` shared by all its terms.  A letter
+step that produces e' terms drops the 1/d from e', multiplies ``den`` by d
+and multiplies that step's lead terms g_{x'} by d; a p_i step has no lead
+term.  The factors u - 1, u^{-1} - 1 and u are exponent shifts, so a braid
+image has den = d^L, L its steps with e' terms, and den stays 1 at d = 1.
+
 _times_letter applies these rules; the word products behind __mul__, the
 braid-word map and basis_walk all go through it.  Word-by-word products are
-cached independently of any trace parameters.
+cached independently of any trace parameters.  At the boundary,
+``from_word(coeff=)`` and ``scale`` take an int, a Fraction or a RatFunc in u
+whose denominator is a monomial, and ``coeff`` gives a term back as a RatFunc.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator
 
 from . import braids, perms
-from .scalars import Poly, RatFunc, RATFUNC_ONE, U, _power
+from .scalars import Poly, RatFunc, U, _power, laurent_ratfunc
 
 BasisWord = tuple[tuple[int, ...], perms.Perm]  # (framings, permutation)
+Laurent = dict[int, int]  # u exponent -> nonzero integer coefficient
+
+_ONE: Laurent = {0: 1}
+# Per letter kind: (has the lead term g_{x'}, d times the constant of
+# e' (g_x + g_{x'}) on an ascent, the same on a descent), None where that
+# rule has no e' terms.
+_STEP_COEFFS = {"g": (True, None, {1: 1, 0: -1}),       # u - 1
+                "g-1": (True, {-1: 1, 0: -1}, None),    # u^-1 - 1
+                "p": (False, _ONE, {1: 1})}             # 1, u
+# The running count of image terms that map_to_algebra allows one word: the
+# letter steps of a word cost about this count times 2d, so a word over the
+# budget is refused after ~4 s (2 vCPU, Python 3.11).  The largest counts
+# reached are 46,713 by the long framed word ("-s1 s2 -s3 s4 -s5 s1 -s2 s3
+# -s4 s5" twice plus t1 t2 on 6 strands, d = 3), 4,045 by `verify --what
+# markov --d 6`, 3,285 by tier-1, and 104 / 0 / 26 by invariant_mix /
+# quotient_grid / cli_cache (warm-up + 600 requests); 200,000 is over 4x the
+# largest.
+MAX_IMAGE_TERMS = 200_000
 
 
-# One entry per d <= esystem.MAX_MODULUS = 32, the cap on every --d.
-@functools.lru_cache(maxsize=32)
-def _step_coeffs(d: int) -> dict:
-    """Per letter kind, (has the term g_{x'}, constant of e' (g_x + g_{x'}) on
-    an ascent, the same on a descent); None where that rule has no e' terms."""
-    quad = (U - 1) / RatFunc.const(d)
-    inv_quad = (U ** -1 - 1) / RatFunc.const(d)
-    return {"g": (True, None, quad), "g-1": (True, inv_quad, None),
-            "p": (False, RatFunc.const(Fraction(1, d)), U / RatFunc.const(d))}
+def _lmul(a: Laurent, b: Laurent) -> Laurent:
+    """The product of two Laurent polynomials; a one-term b is a shift."""
+    if len(b) == 1:
+        (eb, vb), = b.items()
+        return {e + eb: v * vb for e, v in a.items()}
+    out: Laurent = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = ea + eb
+            s = out.get(e, 0) + va * vb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
-def _times_letter(terms: dict[BasisWord, RatFunc], d: int, letter) -> dict[BasisWord, RatFunc]:
-    """terms right-multiplied by the image of one braid letter (module
-    docstring), with zero terms dropped."""
+def _bump(out: dict, key, c: Laurent, k: int = 1) -> None:
+    """out[key] += k c, dropping zero entries.  The first contribution to a
+    key is copied, so c itself is never changed."""
+    prev = out.get(key)
+    if prev is None:
+        out[key] = dict(c) if k == 1 else {e: v * k for e, v in c.items()}
+        return
+    for e, v in c.items():
+        s = prev.get(e, 0) + v * k
+        if s:
+            prev[e] = s
+        else:
+            del prev[e]
+
+
+def _from_scalar(c) -> tuple[Laurent, int]:
+    """(Laurent numerator, positive denominator) of a boundary coefficient:
+    an int, a Fraction, or a RatFunc in u whose denominator is a monomial."""
+    if isinstance(c, RatFunc) and c.variables() <= {"u"} and len(c.den.terms) == 1:
+        (dmono, dcoef), = c.den.terms.items()
+        shift = dmono[0][1] if dmono else 0
+        coeffs = [(mono[0][1] if mono else 0, v / dcoef) for mono, v in c.num.terms.items()]
+        if all(type(v) is Fraction for _, v in coeffs):
+            den = math.lcm(*(v.denominator for _, v in coeffs))
+            return {e - shift: int(v * den) for e, v in coeffs}, den
+    elif isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+        c = Fraction(c)
+        return ({0: c.numerator} if c else {}), c.denominator
+    raise ValueError(f"an algebra coefficient is a Laurent polynomial in u over Q "
+                     f"divided by an integer, not {c!r}")
+
+
+def _times_letter(terms: dict[BasisWord, Laurent], den: int, d: int,
+                  letter) -> tuple[dict[BasisWord, Laurent], int]:
+    """terms / den right-multiplied by the image of one braid letter (module
+    docstring), as (terms, den) with zero terms dropped."""
     tag, i = letter[0], letter[1]
     if tag == "t":  # a bijection on words: nothing merges or cancels
         out = {}
@@ -63,60 +132,61 @@ def _times_letter(terms: dict[BasisWord, RatFunc], d: int, letter) -> dict[Basis
             fa = list(f)
             fa[x[i - 1] - 1] = (fa[x[i - 1] - 1] + letter[2]) % d
             out[(tuple(fa), x)] = c
-        return out
-    lead, on_ascent, on_descent = _step_coeffs(d)[
+        return out, den
+    lead, on_ascent, on_descent = _STEP_COEFFS[
         "p" if tag == "x" else "g" if letter[2] > 0 else "g-1"]
-    out = {}
+    # the step divides by d when any of its words has e' terms
+    scale = d if any((on_ascent if x[i - 1] < x[i] else on_descent) is not None
+                     for _, x in terms) else 1
+    out: dict[BasisWord, Laurent] = {}
     for (f, x), c in terms.items():
         xp = perms.right_mul_s(x, i)
         if lead:
-            _bump(out, (f, xp), c)
-        k = on_ascent if perms.ascends(x, i) else on_descent
+            _bump(out, (f, xp), c, scale)
+        k = on_ascent if x[i - 1] < x[i] else on_descent
         if k is None:
             continue
-        ck = k if c is RATFUNC_ONE else c * k
-        a, b = x[i - 1], x[i]
+        ck = _lmul(c, k)
+        a, b = x[i - 1] - 1, x[i] - 1
         for s in range(d):
             fs = list(f)
-            fs[a - 1] = (fs[a - 1] + s) % d
-            fs[b - 1] = (fs[b - 1] - s) % d
+            fs[a] = (fs[a] + s) % d
+            fs[b] = (fs[b] - s) % d
             fs = tuple(fs)
             _bump(out, (fs, xp), ck)
             _bump(out, (fs, x), ck)
-    return {w: c for w, c in out.items() if not c.is_zero()}
+    return {w: c for w, c in out.items() if c}, den * scale
 
 
-# Called from __mul__ and trace._strip only.  Tier-1 fills 3,469 keys in one
-# process, quotient_grid 799 and invariant_mix ~75 (warm-up + 600 requests);
-# 16,384 is over 4x the largest, and an evicted product is only recomputed.
+# Called from __mul__ and trace._strip only.  Tier-1 fills 3,555 keys in one
+# process, quotient_grid 799, invariant_mix 68-75 and cli_cache 5 (warm-up +
+# 600 requests, seeds 911-913); 16,384 is over 4x the largest, and an evicted
+# product is only recomputed.
 @functools.lru_cache(maxsize=16384)
 def _word_product(d: int, v: perms.Perm, bf: tuple[int, ...], w: perms.Perm):
-    """Normal form of g_v * (t^bf g_w) as ((coeff, framings, perm), ...)."""
+    """Normal form of g_v * (t^bf g_w) as (den, ((coeff, framings, perm), ...))."""
     inv_v = perms.inverse(v)
     pushed = tuple(bf[inv_v[j] - 1] for j in range(len(bf)))
-    terms: dict[BasisWord, RatFunc] = {(pushed, v): RATFUNC_ONE}
+    terms, den = {(pushed, v): _ONE}, 1
     for i in perms.reduced_word(w):
-        terms = _times_letter(terms, d, ("s", i, 1))
-    return tuple((c, f, p) for (f, p), c in terms.items())
-
-
-def _bump(out: dict, key, c: RatFunc) -> None:
-    prev = out.get(key)
-    out[key] = c if prev is None else prev + c
+        terms, den = _times_letter(terms, den, d, ("s", i, 1))
+    return den, tuple((c, f, p) for (f, p), c in terms.items())
 
 
 class AlgebraElement:
-    """A finite Q(u)-linear combination of split-basis words of Y_{d,n}(u)."""
+    """A finite Q(u)-linear combination of split-basis words of Y_{d,n}(u):
+    the Laurent coefficients in ``terms``, all divided by ``den``."""
 
-    __slots__ = ("d", "n", "terms")
+    __slots__ = ("d", "n", "terms", "den")
 
-    def __init__(self, d: int, n: int, terms: dict[BasisWord, RatFunc] | None = None):
+    def __init__(self, d: int, n: int, terms: dict[BasisWord, Laurent] | None = None,
+                 den: int = 1):
         if d < 1 or n < 1:
             raise ValueError("need d >= 1 and n >= 1")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", {
-            w: c for w, c in (terms or {}).items() if not c.is_zero()})
+        object.__setattr__(self, "terms", {w: c for w, c in (terms or {}).items() if c})
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
@@ -132,17 +202,23 @@ class AlgebraElement:
         return AlgebraElement.from_word(d, n, (0,) * n, perms.identity(n))
 
     @staticmethod
-    def from_word(d: int, n: int, framings, perm, coeff: RatFunc = RATFUNC_ONE) -> "AlgebraElement":
+    def from_word(d: int, n: int, framings, perm, coeff=1) -> "AlgebraElement":
         framings = tuple(a % d for a in framings)
         perm = tuple(perm)
         if len(framings) != n or len(perm) != n:
             raise ValueError("framings and permutation must have length n")
-        return AlgebraElement(d, n, {(framings, perm): coeff})
+        c, den = _from_scalar(coeff)
+        return AlgebraElement(d, n, {(framings, perm): c}, den)
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def coeff(self, word: BasisWord) -> RatFunc:
+        """The coefficient of a basis word, as a RatFunc in u."""
+        c = self.terms.get(word, {})
+        return laurent_ratfunc({(0, (), e): v for e, v in c.items()}, self.den)
 
     def _check(self, other: "AlgebraElement") -> None:
         if self.d != other.d or self.n != other.n:
@@ -156,42 +232,47 @@ class AlgebraElement:
         pad = n2 - self.n
         return AlgebraElement(self.d, n2, {
             (f + (0,) * pad, perms.embed(p, n2)): c
-            for (f, p), c in self.terms.items()})
+            for (f, p), c in self.terms.items()}, self.den)
 
     # -- linear operations --------------------------------------------------
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _bump(out, w, c)
-        return AlgebraElement(self.d, self.n, out)
+        den = math.lcm(self.den, other.den)
+        out: dict[BasisWord, Laurent] = {}
+        for elem in (self, other):
+            k = den // elem.den
+            for w, c in elem.terms.items():
+                _bump(out, w, c, k)
+        return AlgebraElement(self.d, self.n, out, den)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.d, self.n, {w: -c for w, c in self.terms.items()})
+        return AlgebraElement(self.d, self.n, {
+            w: {e: -v for e, v in c.items()} for w, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def scale(self, c) -> "AlgebraElement":
-        c = RatFunc.const(c)
-        if c.is_zero():
-            return AlgebraElement.zero(self.d, self.n)
-        return AlgebraElement(self.d, self.n, {w: c * cw for w, cw in self.terms.items()})
+        k, kden = _from_scalar(c)
+        return AlgebraElement(self.d, self.n, {
+            w: _lmul(cw, k) for w, cw in self.terms.items()} if k else {}, self.den * kden)
 
     # -- multiplication -----------------------------------------------------
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         d, n = self.d, self.n
-        out: dict[BasisWord, RatFunc] = {}
-        for (af, av), ca in self.terms.items():
-            for (bf, bv), cb in other.terms.items():
-                c = ca if cb is RATFUNC_ONE else (cb if ca is RATFUNC_ONE else ca * cb)
-                for cc, f, p in _word_product(d, av, bf, bv):
-                    frm = tuple((af[j] + f[j]) % d for j in range(n))
-                    _bump(out, (frm, p), c if cc is RATFUNC_ONE else c * cc)
-        return AlgebraElement(d, n, out)
+        pairs = [(af, _lmul(ca, cb), _word_product(d, av, bf, bv))
+                 for (af, av), ca in self.terms.items()
+                 for (bf, bv), cb in other.terms.items()]
+        top = math.lcm(*(den for _, _, (den, _) in pairs))
+        out: dict[BasisWord, Laurent] = {}
+        for af, c, (den, words) in pairs:
+            for cc, f, p in words:
+                frm = tuple((af[j] + f[j]) % d for j in range(n))
+                _bump(out, (frm, p), _lmul(c, cc), top // den)
+        return AlgebraElement(d, n, out, self.den * other.den * top)
 
     def __pow__(self, e: int) -> "AlgebraElement":
         if e < 0:
@@ -203,10 +284,7 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check(other)
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[w] == other.terms[w] for w in self.terms)
+        return (self - other).is_zero()
 
     def sorted_terms(self):
         """Terms sorted by (framing vector, one-line permutation)."""
@@ -216,9 +294,9 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         parts = []
-        for (f, p), c in self.sorted_terms():
-            word = word_render(f, p)
-            cs = c.render()
+        for w, _ in self.sorted_terms():
+            word = word_render(*w)
+            cs = self.coeff(w).render()
             if cs == "1":
                 parts.append(word)
             elif word == "1":
@@ -256,7 +334,8 @@ def basis_walk(elem: AlgebraElement) -> Iterator[tuple[BasisWord, AlgebraElement
         word = perms.reduced_word(w)
         if word:
             prev = done[perms.right_mul_s(w, word[-1])]
-            done[w] = AlgebraElement(d, n, _times_letter(prev.terms, d, ("s", word[-1], 1)))
+            done[w] = AlgebraElement(d, n, *_times_letter(prev.terms, prev.den, d,
+                                                          ("s", word[-1], 1)))
         else:  # the identity comes first in each framing block
             done = {w: elem * AlgebraElement.from_word(d, n, frm, w)}
         yield (frm, w), done[w]
@@ -296,15 +375,14 @@ def idempotent_e(d: int, n: int, i: int) -> AlgebraElement:
     """e_i = (1/d) sum_s t_i^s t_{i+1}^{d-s}."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"e_{i} does not exist on {n} strands")
-    coeff = RatFunc.const(Fraction(1, d))
-    out: dict[BasisWord, RatFunc] = {}
+    out: dict[BasisWord, Laurent] = {}
     ident = perms.identity(n)
     for s in range(d):
         frm = [0] * n
         frm[i - 1] = s
         frm[i] = (d - s) % d
-        _bump(out, (tuple(frm), ident), coeff)
-    return AlgebraElement(d, n, out)
+        out[(tuple(frm), ident)] = _ONE
+    return AlgebraElement(d, n, out, d)
 
 
 @_image_cache
@@ -339,12 +417,12 @@ def quotient_generator(kind: str, d: int, n: int, i: int) -> AlgebraElement:
     if kind == "ftl":
         return idempotent_e(d, n, i) * idempotent_e(d, n, i + 1) * st
     if kind == "ctl":
-        total: dict[BasisWord, RatFunc] = {}
+        total: dict[BasisWord, Laurent] = {}
         ident = perms.identity(n)
         for exps in itertools.product(range(d), repeat=3):
             frm = [0] * n
             frm[i - 1], frm[i], frm[i + 1] = exps
-            _bump(total, (tuple(frm), ident), RATFUNC_ONE)
+            total[(tuple(frm), ident)] = _ONE
         return AlgebraElement(d, n, total) * st
     raise ValueError(f"unknown quotient kind {kind!r}")
 
@@ -357,11 +435,17 @@ def quotient_generator(kind: str, d: int, n: int, i: int) -> AlgebraElement:
 def map_to_algebra(b: braids.BraidWord, d: int) -> AlgebraElement:
     """Monoid map on words: sigma_i -> g_i, sigma_i^{-1} -> g_i^{-1},
     t_j^k -> t_j^{k mod d}, tau_i -> p_i, applied one letter at a time from
-    the unit on."""
-    terms = AlgebraElement.unit(d, b.n).terms
+    the unit on.  The image terms of all the steps count against
+    MAX_IMAGE_TERMS."""
+    unit = AlgebraElement.unit(d, b.n)
+    terms, den, spent = unit.terms, unit.den, 0
     for letter in b.letters:
-        terms = _times_letter(terms, d, letter)
-    return AlgebraElement(d, b.n, terms)
+        terms, den = _times_letter(terms, den, d, letter)
+        spent += len(terms)
+        if spent > MAX_IMAGE_TERMS:
+            raise ValueError(f"the image of the braid word exceeds the budget of "
+                             f"{MAX_IMAGE_TERMS} image terms")
+    return AlgebraElement(d, b.n, terms, den)
 
 
 # ---------------------------------------------------------------------------

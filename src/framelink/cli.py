@@ -120,11 +120,20 @@ def _add_braid_opts(sub):
     sub.add_argument("--json", action="store_true", help="emit the JSON record")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one line, in the form of
+    main()'s other errors, and leave through SystemExit(2) as argparse's own
+    do; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared.  It holds no
     environment values: main() reads FRAMELINK_CACHE on every call."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="framelink",
         description="Exact link invariants from the Yokonuma-Hecke algebra.")
     ap.add_argument("--version", action="version", version=__version__)

@@ -118,7 +118,7 @@ def _conjugation_certificate(d: int) -> bool:
     for frm, perm in split_basis(d, _N):
         c = AlgebraElement.from_word(d, _N, frm, perm)
         for letter, w in gens:
-            cw = AlgebraElement(d, _N, _times_letter(c.terms, d, letter))
+            cw = AlgebraElement(d, _N, *_times_letter(c.terms, c.den, d, letter))
             if tracer.trace(cw) != tracer.trace(w * c):
                 return False
     return True
@@ -287,6 +287,11 @@ class _Echelon:
         return col
 
 
+def _row(e: AlgebraElement) -> dict:
+    """e as an echelon row: columns are basis words, in split-basis order."""
+    return {w: e.coeff(w) for w in e.terms}
+
+
 def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int) -> bool:
     """Is genA in the two-sided ideal span{a genB b : a, b split-basis words}?
 
@@ -304,12 +309,12 @@ def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int) -> bool:
     if d > 1:
         gens += [gen_t(d, _N, j) for j in range(1, _N + 1)]
     span = _Echelon()
-    target = dict(genA.terms)  # columns are basis words, in split-basis order
+    target = _row(genA)
     queue: list[AlgebraElement] = []
 
     def insert(e: AlgebraElement) -> bool:
         nonlocal target
-        if span.insert(dict(e.terms)) is not None:
+        if span.insert(_row(e)) is not None:
             queue.append(e)
             target = span.reduce(target)
         return not target

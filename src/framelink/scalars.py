@@ -21,15 +21,21 @@ Four layers, none of which ever touches floating point:
 * ``HalfPowerValue`` -- r * L^(h/2) for a fixed rational function L and
   h in {0, 1}; integer powers of L are always folded into r.
 
+The algebra and the trace do not use these types: they compute in an integer
+kernel of their own (Laurent polynomials in u, and polynomials in z and x,
+over one integer denominator), and ``laurent_ratfunc`` is the one way from
+that kernel to a ``RatFunc``, built already normalized.  ``RatFunc``
+arithmetic runs where a division happens: lambda_D and the normaliser, z and
+x specialization, elimination, parsing and ``HalfPowerValue``.
+
 A normalized ``RatFunc`` with a constant denominator holds the shared
-``_POLY_ONE``, so products and sums of polynomials (most of the engine's
-work) skip normalization by an identity test.  ``Cyclotomic`` and ``Poly``
-arithmetic builds its results through ``_make``, which trusts its input
-but keeps the canonical form: no stored zero ``Poly`` coefficient, and a
-``Fraction`` for a value with zero irrational part.  The public
-constructors validate outside input before they call it; ``_as_coeff``
-turns an ``int`` coefficient into a ``Fraction`` and refuses any other
-type, floats included.
+``_POLY_ONE``, so products and sums of polynomials skip normalization by an
+identity test.  ``Cyclotomic`` and ``Poly`` arithmetic builds its results
+through ``_make``, which trusts its input but keeps the canonical form: no
+stored zero ``Poly`` coefficient, and a ``Fraction`` for a value with zero
+irrational part.  The public constructors validate outside input before
+they call it; ``_as_coeff`` turns an ``int`` coefficient into a ``Fraction``
+and refuses any other type, floats included.
 
 One power routine, ``_power``, serves every type (algebra elements too);
 one Euclid on dense coefficient lists, ``_uni_divmod``, serves the
@@ -841,6 +847,26 @@ def _poly_substitute(p: Poly, mapping: Mapping[str, "RatFunc"]) -> tuple[Poly, P
             prev = out.get(m)
             out[m] = c if prev is None else prev + c
     return Poly(out), den
+
+
+def laurent_ratfunc(terms: Mapping[tuple[int, tuple[int, ...], int], Coeff],
+                    den: int = 1) -> RatFunc:
+    """sum c z^j x_1^k_1 ... x_{d-1}^k_{d-1} u^e / den over the terms
+    {(j, (k_1, ..., k_{d-1}), e): c} with no zero c, e of either sign: the
+    one way from the algebra's and the trace's integer kernel to a RatFunc.
+    The result is built normalized: u^-low for the least exponent low < 0 is
+    the whole denominator, and den divides into the coefficients."""
+    low = min(0, min((e for _, _, e in terms), default=0))
+    inv = Fraction(1, den)
+    num = {}
+    for (j, ks, e), c in terms.items():
+        num[((("u", e - low),) if e != low else ())
+            + ((("z", j),) if j else ())
+            + tuple((f"x{m}", k) for m, k in enumerate(ks, 1) if k)] = c * inv
+    out = object.__new__(RatFunc)
+    object.__setattr__(out, "num", Poly._make(num))
+    object.__setattr__(out, "den", Poly.variable("u", -low) if low else _POLY_ONE)
+    return out
 
 
 RATFUNC_ZERO = RatFunc(_POLY_ZERO)

@@ -15,20 +15,31 @@ Markov property, tr(A g B) = tr(B A g) = z tr(B A) = z tr(A B); it is
 exercised directly by the test suite rather than trusted silently.
 
 The structural reduction of a word is independent of the z and x values,
-so it is cached globally per (d, framings, permutation).  ``Tracer(d, xs,
-z)`` is the one evaluator: it fixes the x and z values, formal unless
-given, and memoizes the scalar value of each word.
+so it is cached globally per (d, framings, permutation); a z-step holds the
+product A B in the algebra's integer kernel, Laurent coefficients over a
+denominator that is a power of d.  ``Tracer(d, xs, z)`` is the one
+evaluator, and it stays in that kernel too: the value of a word is a dict
+{(z exponent, x exponents, u exponent): coefficient} over a power of d,
+with int, Fraction or Cyclotomic coefficients, memoized per word.  When
+every x is a number it multiplies in and the key holds no x exponents;
+otherwise x stays formal and adds to its exponent in the key.  z stays
+formal.  ``Tracer.trace`` sums c_w tr(w) in the kernel, divides by the
+denominators once and builds one RatFunc; a given z, and x values that are
+not all numbers, are substituted into that one result.
 """
 from __future__ import annotations
 
-from .algebra import AlgebraElement, _word_product
-from .scalars import RatFunc, RATFUNC_ONE, RATFUNC_ZERO, Z, x_var
+from fractions import Fraction
 
-# (d, frm, perm) -> ("x", m, (frm', perm')) | ("z", ((coeff, frm', perm'), ...)),
-# dropping its oldest key when full.  Tier-1 fills 8,985 keys in one process,
-# invariant_mix at most 411 and quotient_grid 250 (warm-up + 600 requests);
-# 40,000 is over 4x the largest, and a dropped step is only recomputed.
-_STRIP_MAX = 40_000
+from .algebra import AlgebraElement, _word_product
+from .scalars import RatFunc, laurent_ratfunc
+
+# (d, frm, perm) -> ("x", m, (frm', perm')) | ("z", den, ((coeff, frm', perm'), ...)),
+# dropping its oldest key when full.  Tier-1 fills 14,611 keys in one process
+# (most of them `verify --what markov --d 6`), invariant_mix 352-381,
+# quotient_grid 250 and cli_cache 9 (warm-up + 600 requests, seeds 911-913);
+# 60,000 is over 4x the largest, and a dropped step is only recomputed.
+_STRIP_MAX = 60_000
 _STRIP: dict[tuple, tuple] = {}
 
 
@@ -47,9 +58,10 @@ def _strip(d: int, frm: tuple, perm: tuple) -> tuple:
         tail = tuple(range(1, k)) + (n - 1,) + tuple(range(k, n - 1))
         bfrm = (0,) * (n - 2) + (frm[n - 1],)
         # A B = t^{a'} (g_v t^bfrm g_tail): a' adds to the first n-1 framings
-        out = ("z", tuple(sorted(
+        den, words = _word_product(d, v, bfrm, tail)
+        out = ("z", den, tuple(sorted(
             ((c, tuple((a + b) % d for a, b in zip(frm[: n - 1], f)), p)
-             for c, f, p in _word_product(d, v, bfrm, tail)),
+             for c, f, p in words),
             key=lambda t: t[1:])))
     if len(_STRIP) >= _STRIP_MAX:
         del _STRIP[next(iter(_STRIP))]
@@ -64,41 +76,76 @@ class Tracer:
     RatFunc; None keeps them formal.  z stays formal unless given.
     """
 
-    __slots__ = ("d", "_x", "_z", "_memo")
+    __slots__ = ("d", "_x", "_subs", "_unit", "_memo")
 
     def __init__(self, d: int, xs=None, z=None):
         if d < 1:
             raise ValueError("d must be >= 1")
-        xs = [x_var(m) for m in range(1, d)] if xs is None \
-            else [RatFunc.const(v) for v in xs]
-        if len(xs) != d - 1:
-            raise ValueError(f"need x_1..x_{d - 1}, got {len(xs)} values")
+        subs = {} if z is None else {"z": RatFunc.const(z)}
+        if xs is not None:
+            xs = [RatFunc.const(v) for v in xs]
+            if len(xs) != d - 1:
+                raise ValueError(f"need x_1..x_{d - 1}, got {len(xs)} values")
+            if any(v.variables() for v in xs):
+                subs.update((f"x{m}", v) for m, v in enumerate(xs, start=1))
+                xs = None
+            else:  # indexed by the framing exponent; an integral value as an int
+                xs = [v.num.constant_value() for v in xs]
+                xs = (1, *(int(v) if type(v) is Fraction and v.denominator == 1 else v
+                           for v in xs))
         self.d = d
-        self._x = (RATFUNC_ONE, *xs)  # indexed by the framing exponent
-        self._z = Z if z is None else RatFunc.const(z)
-        self._memo: dict[tuple, RatFunc] = {}
+        self._x = xs
+        self._subs = subs
+        self._unit = (1, {(0, () if xs else (0,) * (d - 1), 0): 1})
+        self._memo: dict[tuple, tuple[int, dict]] = {}
 
-    def trace_word(self, frm: tuple, perm: tuple) -> RatFunc:
+    def _word(self, frm: tuple, perm: tuple) -> tuple[int, dict]:
+        """(den, value) of tr(t^frm g_perm): value / den in the kernel."""
         if not frm:
-            return RATFUNC_ONE
+            return self._unit
         key = (frm, perm)
         val = self._memo.get(key)
         if val is not None:
             return val
         step = _strip(self.d, frm, perm)
-        if step[0] == "x":
-            val = self._x[step[1]] * self.trace_word(*step[2])
+        if step[0] == "z":
+            top, value = self._sum(step[2], 1)
+            val = (step[1] * top, value)
         else:
-            val = sum((c * self.trace_word(f, p) for c, f, p in step[1]),
-                      start=RATFUNC_ZERO)
-            val = self._z * val
+            m, val = step[1], self._word(*step[2])
+            if m and self._x is None:
+                val = (val[0], {(j, ks[: m - 1] + (ks[m - 1] + 1,) + ks[m:], e): c
+                                for (j, ks, e), c in val[1].items()})
+            elif m and self._x[m] != 1:
+                xm = self._x[m]
+                val = (val[0], {k: c * xm for k, c in val[1].items()} if xm else {})
         self._memo[key] = val
         return val
+
+    def _sum(self, items, dz: int) -> tuple[int, dict]:
+        """(den, value) of z^dz sum c tr(t^frm g_perm) over items
+        (c, frm, perm) with Laurent c.  Word denominators are powers of d,
+        so the largest is their lcm."""
+        parts = [(c, self._word(f, p)) for c, f, p in items]
+        top = max((den for _, (den, _) in parts), default=1)
+        out: dict = {}
+        for c, (den, value) in parts:
+            k = top // den
+            if k != 1:
+                c = {ce: cv * k for ce, cv in c.items()}
+            for (j, ks, e), v in value.items():
+                for ce, cv in c.items():
+                    key = (j + dz, ks, e + ce)
+                    s = out.get(key, 0) + cv * v
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        return top, out
 
     def trace(self, e: AlgebraElement) -> RatFunc:
         if e.d != self.d:
             raise ValueError(f"element has d={e.d}, the trace has d={self.d}")
-        total = RATFUNC_ZERO
-        for (frm, perm), coeff in e.terms.items():
-            total = total + coeff * self.trace_word(frm, perm)
-        return total
+        top, value = self._sum(((c, f, p) for (f, p), c in e.terms.items()), 0)
+        out = laurent_ratfunc(value, top * e.den)
+        return out.substitute(self._subs) if self._subs else out

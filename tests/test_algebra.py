@@ -22,7 +22,7 @@ from framelink.algebra import (
     verify_relation,
 )
 from framelink.braids import BraidWord, parse_braid
-from framelink.scalars import Fraction, RatFunc, U
+from framelink.scalars import Cyclotomic, Fraction, RatFunc, U, Z
 from helpers import random_element
 
 DS = (1, 2, 3)
@@ -100,10 +100,10 @@ def test_quadratic_normal_form_term_counts():
         assert len(sq.terms) == 2 * d
         coeff = (U - 1) / RatFunc.const(d)
         unit_word = ((0,) * 2, perms.identity(2))
-        assert sq.terms[unit_word] == RatFunc.const(1) + coeff
-        for w, c in sq.terms.items():
+        assert sq.coeff(unit_word) == RatFunc.const(1) + coeff
+        for w in sq.terms:
             if w != unit_word:
-                assert c == coeff
+                assert sq.coeff(w) == coeff
 
 
 def test_inverse_g_normal_form_d2():
@@ -114,10 +114,10 @@ def test_inverse_g_normal_form_d2():
     s1 = perms.transposition(2, 1)
     c = U ** -1 - 1
     half = RatFunc.const(Fraction(1, 2))
-    assert inv.terms[((0, 0), s1)] == RatFunc.const(1) + half * c
-    assert inv.terms[((1, 1), s1)] == half * c
-    assert inv.terms[((0, 0), perms.identity(2))] == half * c
-    assert inv.terms[((1, 1), perms.identity(2))] == half * c
+    assert inv.coeff(((0, 0), s1)) == RatFunc.const(1) + half * c
+    assert inv.coeff(((1, 1), s1)) == half * c
+    assert inv.coeff(((0, 0), perms.identity(2))) == half * c
+    assert inv.coeff(((1, 1), perms.identity(2))) == half * c
 
 
 def test_idempotent_relations():
@@ -297,7 +297,7 @@ def test_each_letter_rule(d):
     for word in split_basis(d, n):
         elem = AlgebraElement.from_word(d, n, *word, coeff=coeff)
         for letter in _letters(n, d):
-            got = AlgebraElement(d, n, _times_letter(elem.terms, d, letter))
+            got = AlgebraElement(d, n, *_times_letter(elem.terms, elem.den, d, letter))
             assert got == elem * _image(d, n, letter), (word, letter)
 
 
@@ -330,3 +330,129 @@ def test_map_to_algebra_matches_generator_products():
                 assert map_to_algebra(b, d) == want, (d, b.render())
                 checked += 1
     assert checked == 180
+
+
+# -- the integer kernel, against the RatFunc letter rules it replaced ----------
+
+
+def _ref_step_coeffs(d):
+    """Per letter kind: (has the term g_{x'}, constant of e' (g_x + g_{x'}) on
+    an ascent, the same on a descent), the 1/d of e' inside the constants."""
+    quad = (U - 1) / RatFunc.const(d)
+    inv_quad = (U ** -1 - 1) / RatFunc.const(d)
+    return {"g": (True, None, quad), "g-1": (True, inv_quad, None),
+            "p": (False, RatFunc.const(Fraction(1, d)), U / RatFunc.const(d))}
+
+
+def _ref_times_letter(terms, d, letter):
+    """The letter rules of the module docstring over RatFunc coefficients,
+    written out independently of the kernel."""
+    tag, i = letter[0], letter[1]
+    if tag == "t":
+        out = {}
+        for (f, x), c in terms.items():
+            fa = list(f)
+            fa[x[i - 1] - 1] = (fa[x[i - 1] - 1] + letter[2]) % d
+            out[(tuple(fa), x)] = c
+        return out
+    lead, on_ascent, on_descent = _ref_step_coeffs(d)[
+        "p" if tag == "x" else "g" if letter[2] > 0 else "g-1"]
+    out = {}
+
+    def bump(key, c):
+        out[key] = out[key] + c if key in out else c
+
+    for (f, x), c in terms.items():
+        xp = perms.right_mul_s(x, i)
+        if lead:
+            bump((f, xp), c)
+        k = on_ascent if perms.ascends(x, i) else on_descent
+        if k is None:
+            continue
+        a, b = x[i - 1], x[i]
+        for s in range(d):
+            fs = list(f)
+            fs[a - 1] = (fs[a - 1] + s) % d
+            fs[b - 1] = (fs[b - 1] - s) % d
+            bump((tuple(fs), xp), c * k)
+            bump((tuple(fs), x), c * k)
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+def _random_letter(rng, n, d):
+    roll = rng.random()
+    if roll < 0.25:
+        return ("t", rng.randint(1, n), rng.randint(-1, 2 * d + 1))
+    if roll < 0.45:
+        return ("x", rng.randint(1, n - 1))
+    return ("s", rng.randint(1, n - 1), rng.choice((1, -1)))
+
+
+def test_kernel_matches_the_ratfunc_letter_rules():
+    # seeded words of classical, framed and singular letters, inverse letters
+    # on ascents and descents, and t_j^k with k >= d or k < 0, from a start
+    # that is not the unit: every coefficient, read through coeff(), equals
+    # that of the RatFunc rules, and the image of a braid word has den d^L
+    rng = random.Random(1601)
+    steps = 0
+    for d in DS:
+        for n in (2, 3, 4):
+            for _ in range(5):
+                start = random_element(rng, d, n, nwords=2).scale(Fraction(1, 3))
+                ref = {w: start.coeff(w) for w in start.terms}
+                terms, den = start.terms, start.den
+                for _ in range(rng.randint(1, 7)):
+                    letter = _random_letter(rng, n, d)
+                    ref = _ref_times_letter(ref, d, letter)
+                    terms, den = _times_letter(terms, den, d, letter)
+                    got = AlgebraElement(d, n, terms, den)
+                    assert set(got.terms) == set(ref), (d, letter)
+                    assert all(got.coeff(w) == c for w, c in ref.items()), (d, letter)
+                    steps += 1
+            for family in ("t", "x"):
+                b = BraidWord([letter for letter in (_random_letter(rng, n, d)
+                                                     for _ in range(8))
+                               if letter[0] in ("s", family)], n=n)
+                den = map_to_algebra(b, d).den
+                while d > 1 and den % d == 0:
+                    den //= d
+                assert den == 1, (d, b.render())
+    assert steps > 150
+
+
+@pytest.mark.parametrize("coeff, num, den", [
+    (3, {0: 3}, 1),
+    (Fraction(2, 7), {0: 2}, 7),
+    (U ** -2 * (U - 1), {-1: 1, -2: -1}, 1),
+    (RatFunc.const(1) / (2 * U), {-1: 1}, 2),
+    (RatFunc.const(0), {}, 1),
+])
+def test_boundary_coefficients(coeff, num, den):
+    w = ((0, 1), (2, 1))
+    e = AlgebraElement.from_word(2, 2, *w, coeff=coeff)
+    assert (e.terms.get(w, {}), e.den) == (num, den)
+    assert e.coeff(w) == RatFunc.const(coeff)
+    scaled = AlgebraElement.from_word(2, 2, *w, coeff=U).scale(coeff)
+    assert scaled.coeff(w) == U * coeff
+
+
+@pytest.mark.parametrize("coeff", [RatFunc.const(1) / (U + 1), U * Z, 0.5,
+                                   RatFunc.const(Cyclotomic.root_of_unity(3))])
+def test_boundary_refuses_other_coefficients(coeff):
+    for make in (lambda: AlgebraElement.from_word(2, 2, (0, 0), (1, 2), coeff=coeff),
+                 lambda: AlgebraElement.unit(2, 2).scale(coeff)):
+        with pytest.raises(ValueError, match="Laurent polynomial") as exc:
+            make()
+        assert "\n" not in str(exc.value)
+
+
+def test_den_is_shared_and_added_over_a_common_denominator():
+    # e_1 at d = 3 has den 3 and unit coefficients; adding an element over 2
+    # brings both to den 6, and equality compares across denominators
+    e = idempotent_e(3, 2, 1)
+    assert e.den == 3 and all(c == {0: 1} for c in e.terms.values())
+    half = AlgebraElement.unit(3, 2).scale(Fraction(1, 2))
+    total = e + half
+    assert total.den == 6
+    assert total.coeff(((0, 0), (1, 2))) == RatFunc.const(Fraction(5, 6))
+    assert total - half == e and (e + e).scale(Fraction(1, 2)) == e

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from framelink import __version__
+from framelink import __version__, algebra
 from framelink.braids import parse_braid
 from framelink.cli import _cache_key, build_parser, cache_get, cache_put, main
 from framelink.esystem import MAX_MODULUS
@@ -454,6 +454,28 @@ def test_modulus_budget(tmp_path, capsys):
     assert code == 0 and "1 solution(s)" in out
 
 
+def test_image_term_budget(capsys, monkeypatch):
+    # map_to_algebra counts the image terms of all its letter steps and
+    # refuses the word past the budget, with one line that names it
+    monkeypatch.setattr(algebra, "MAX_IMAGE_TERMS", 50)
+    code, out, err = run(capsys, "invariant", "--family", "framed", "--d", "3",
+                         "--subset", "0,1", "--braid", "n=4 s1 -s2 s3 t1 -s1 s2")
+    assert code == 2 and out == ""
+    assert err == "error: the image of the braid word exceeds the budget of 50 image terms\n"
+
+
+def test_image_term_budget_at_its_real_size(capsys):
+    # a word over the real budget ends after a few seconds with one line;
+    # `verify --what markov --d 6`, whose words reach 6 strands, stays far
+    # inside it and passes
+    word = "n=7 t1 " + " ".join(["-s1 s2 -s3 s4 -s5 s6"] * 3)
+    code, out, err = run(capsys, "framed-jones", "--d", "2", "--braid", word)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert f"budget of {algebra.MAX_IMAGE_TERMS} image terms" in err
+    code, out, err = run(capsys, "verify", "--what", "markov", "--d", "6")
+    assert code == 0 and err == "" and out.endswith("all checks passed\n")
+
+
 def test_missing_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["jones"])
@@ -486,7 +508,7 @@ def _fuzz_argv(rng, tmp_path):
     if command in ("framed-jones", "invariant", "batch"):
         subset = rng.choice(("", "-1", "0,0", "1,1", str(d + 1), "0", "0", "0,1", "0,1",
                              "1,2", "0,1,2", "0,,1", "a", "--"))
-        argv += ["--d", str(d), f"--subset={subset}"]
+        argv += ["--d", "x" if rng.random() < 0.05 else str(d), f"--subset={subset}"]
     if command in ("invariant", "batch"):
         argv += ["--family", rng.choice(("classical", "framed", "singular"))]
     if command == "batch":
@@ -495,7 +517,10 @@ def _fuzz_argv(rng, tmp_path):
                         "\n".join(_fuzz_word(rng) for _ in range(3)).encode("utf-8"))
         argv += ["--file", str(src)]
     else:
-        argv += [f"--braid={_fuzz_word(rng)}", "--json"][: rng.randint(1, 3)]
+        # a word given without "=" that starts with "-" is a usage error
+        word = _fuzz_word(rng)
+        braid = [f"--braid={word}"] if rng.random() < 0.5 else ["--braid", word]
+        argv += braid + (["--json"] if rng.random() < 2 / 3 else [])
     if rng.random() < 0.3:
         argv += ["--cache", str(tmp_path / "cache.jsonl")]
     return argv
@@ -511,6 +536,17 @@ def _substitution_route(record):
     return formal.value.substitute({"z": zval})
 
 
+def _run_or_exit(capsys, argv):
+    """(exit status, stdout, stderr) of main(argv); a usage error leaves main
+    through SystemExit, as argparse's own errors do."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 def test_seeded_cli_fuzz(tmp_path, capsys):
     # random and malformed words, subsets and moduli end with exit 0, 1 or 2
     # and no traceback; exit 2 is one line on stderr, and every --json Jones
@@ -518,17 +554,22 @@ def test_seeded_cli_fuzz(tmp_path, capsys):
     rng = random.Random(1502)
     fixed = [["jones", "--braid=--"], ["framed-jones", "--d=--", "--braid=s1"],
              ["invariant", "--family", "framed", "--d", "2", "--subset=--",
-              "--braid", "s1"], ["batch", "--file=--"]]
+              "--braid", "s1"], ["batch", "--file=--"],
+             ["jones", "--braid", "-s1"], ["framed-jones", "--d", "x", "--braid", "s1"],
+             ["invariant"], ["invariant", "--family", "framed", "--braid", "s1"],
+             ["compare", "--braid-a", "s1"], ["verify", "--what"], ["nosuch"], []]
     codes, checked = [], 0
     for argv in fixed + [_fuzz_argv(rng, tmp_path) for _ in range(400)]:
-        code, out, err = run(capsys, *argv)
+        code, out, err = _run_or_exit(capsys, argv)
         codes.append(code)
         assert code in (0, 1, 2) and "Traceback" not in err, argv
         if code == 2:
             assert len(err.splitlines()) == 1, argv
         if code == 0 and argv[0] in ("jones", "framed-jones") and "--json" in argv:
             record = json.loads(out)
-            record["braid"] = next(a for a in argv if a.startswith("--braid="))[8:]
+            record["braid"] = next(
+                a[8:] if a.startswith("--braid=") else argv[k + 1]
+                for k, a in enumerate(argv) if a.startswith("--braid"))
             text, half = record["value"], record["value"].endswith(_SQRT)
             if half:
                 text = text[: -len(_SQRT)]

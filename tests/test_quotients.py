@@ -521,17 +521,21 @@ class _Rows:
         return bool(vec)
 
 
+def _vec(e):
+    return {w: e.coeff(w) for w in e.terms}
+
+
 def _literal_inclusion(genA, genB, d, n=3):
     """Is genA in span{a genB b : a, b split-basis words}?  The double loop
     over the pairs, with a kept only where a genB is not in the span of the
     earlier left multiples; by bilinearity the pairs span the same ideal."""
     words = [AlgebraElement.from_word(d, n, f, p) for f, p in split_basis(d, n)]
     lefts = _Rows()
-    kept = [x for x in (a * genB for a in words) if lefts.insert(dict(x.terms))]
+    kept = [x for x in (a * genB for a in words) if lefts.insert(_vec(x))]
     span = _Rows()
     for x in kept:
         for b in words:
-            if span.insert(dict((x * b).terms)) and not span.reduce(dict(genA.terms)):
+            if span.insert(_vec(x * b)) and not span.reduce(_vec(genA)):
                 return True
     return not genA.terms
 

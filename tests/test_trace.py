@@ -7,6 +7,7 @@ import random
 import pytest
 
 import oracle_hecke as oracle
+import oracle_yokonuma as yok
 from framelink import perms
 from framelink.algebra import (
     AlgebraElement,
@@ -18,9 +19,10 @@ from framelink.algebra import (
     split_basis,
 )
 from framelink.braids import parse_braid
+from framelink.esystem import build_solution
 from framelink.scalars import Fraction, RatFunc, RATFUNC_ONE, U, Z, x_var
 from framelink.trace import Tracer, _strip
-from helpers import random_element
+from helpers import random_braid, random_element
 
 DS = (1, 2, 3)
 
@@ -146,7 +148,7 @@ def test_random_h3_elements_match_oracle():
     rng = random.Random(7)
     for _ in range(10):
         a = random_element(rng, 1, 3, nwords=3)
-        ref = oracle.trace({p: c for (_, p), c in a.terms.items()}, 3)
+        ref = oracle.trace({w[1]: a.coeff(w) for w in a.terms}, 3)
         assert Tracer(1).trace(a) == ref
 
 
@@ -214,4 +216,28 @@ def test_strip_z_step_is_the_product_a_b(d, n_max):
                 == AlgebraElement.from_word(d, n, frm, perm)
             step = _strip(d, frm, perm)
             assert step[0] == "z"
-            assert list(step[1]) == [(c, f, p) for (f, p), c in (a * b).sorted_terms()]
+            assert [(f, p) for _, f, p in step[2]] == [w for w, _ in (a * b).sorted_terms()]
+            assert AlgebraElement(d, n - 1, {(f, p): c for c, f, p in step[2]},
+                                  step[1]) == a * b
+
+
+# -- the independent trace table of Y_{d,3} --------------------------------------
+
+
+@pytest.mark.parametrize("d, D", [(1, (0,)), (2, (0,)), (2, (1,)), (2, (0, 1)),
+                                  (3, (0,)), (3, (1,)), (3, (0, 1)), (3, (0, 1, 2))])
+def test_trace_matches_the_linear_system_oracle(d, D):
+    # the trace table solved from tr(1) = 1, tr(ab) = tr(ba) and the two
+    # Markov rules (d = 3, D = {1} has Cyclotomic x) equals Tracer on every
+    # basis word, and on seeded words mapped by either side
+    table = yok.trace_table(d, D)
+    at_u = {"u": RatFunc.const(yok.U_VAL)}
+    tracer = Tracer(d, build_solution(d, D).x[1:], yok.Z_VAL)
+    for word, want in table.items():
+        got = tracer.trace(AlgebraElement.from_word(d, 3, *word)).substitute(at_u)
+        assert got == want, word
+    rng = random.Random(1603 + 10 * d + len(D))
+    for kind in ("classical", "framed", "singular"):
+        b = random_braid(rng, 3, 5, kind, d)
+        want = sum((c * table[w] for w, c in yok.image(d, b.letters).items()), Fraction(0))
+        assert tracer.trace(map_to_algebra(b, d)).substitute(at_u) == want, b.render()
