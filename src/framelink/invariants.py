@@ -21,7 +21,25 @@ Y_{|D|,n} at D' = Z/|D|Z, and only framed words go to Y_{d,n} at the
 request's own d; the value keeps the request's d and D.  The constants of a
 request are built once per process: the per-d constants of the letter rules
 (``algebra``), the solution of each (d, D) (``esystem.build_solution``),
-lambda_D and the normalisation z^-(n-1) lambda_D^k of each (|D|, n, k).
+lambda_D and the powers L^k of L = |D| z + 1 - u.
+
+The value at formal z is written straight from the trace polynomial, with
+no RatFunc product.  With h = eps - (n-1), half = h mod 2, f = (h - half)/2,
+m = |D| and T the trace as a Laurent polynomial in z and u:
+
+* f >= 0: the value is the Laurent polynomial L^f T / (m^f u^f z^(f+n-1)),
+  written over the monic monomial u^a z^b that clears its negative
+  exponents (``scalars.laurent_ratfunc``);
+* f = -k < 0: with S = m^k u^k z^(k-n+1) T the value is S / L^k.  If S is
+  a polynomial and k synthetic divisions in z by L leave no remainder, it
+  is the quotient, over 1.  Otherwise it is (-1)^k S u^a z^b over
+  (-1)^k L^k u^a z^b: the graded-lex lead of L^k is (-u)^k, so the
+  denominator has leading coefficient 1, and L is not cancelled in part;
+* a zero trace gives the zero value.
+
+This is the normal form that ``RatFunc`` arithmetic gives the product
+z^-(n-1) lambda_D^f T (monomial cancellation, exact division by the whole
+denominator, leading denominator coefficient 1), term for term.
 
 ``jones`` and ``framed_jones`` take the value at z0 = -1/((u+1)|D|), where
 lambda_D(z0) = u (Goundaroulis, Juyumaya, Kontogeorgis and Lambropoulou,
@@ -32,20 +50,22 @@ w = 1/z0 = -(u+1)|D| and h = eps - (n-1) the value is
     u^{floor(h/2)} sum_j c_j w^{n-1-j}    (times sqrt(u) when h is odd),
 
 one Horner pass over c_0, c_1, ..., c_{n-1}.  It is a Laurent polynomial in
-u, reached with no rational substitution and no division.  Such a request
-still runs through ``invariant``, which maps and traces every request in
-one place and lets the request finish the value.
+u, reached with no rational substitution and no division; the integer
+power of u goes in through ``HalfPowerValue``.  Such a request still runs
+through ``invariant``, which maps and traces every request in one place and
+lets the request finish the value.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import map_to_algebra
 from .braids import BraidWord, framing, sigma, tau
 from .esystem import build_solution
-from .scalars import HalfPowerValue, Poly, RatFunc, U, Z
+from .scalars import RATFUNC_ZERO, Cyclotomic, HalfPowerValue, RatFunc, U, Z, laurent_ratfunc
 from .trace import Tracer
 
 FAMILIES = ("framed", "classical", "singular")
@@ -55,10 +75,10 @@ FAMILIES = ("framed", "classical", "singular")
 # 200 ~2 min (2 vCPU, Python 3.11).  A braid on more strands is refused
 # rather than left to exhaust the stack or run for minutes.
 MAX_STRANDS = 64
-# The normalisation folds lambda_D^k with k = |eps - n + 1| // 2 into the
-# value, and that power is nearly all the work of a long word on few strands:
-# the largest allowed word, s1^82 (k = 40), takes 1.2-1.5 s (2 vCPU, Python
-# 3.11).  A larger k is refused before any work.
+# The value holds L^k T for k = |eps - n + 1| // 2 (see the module
+# docstring), so its size grows with k^2: the largest allowed word, s1^82
+# (k = 40), gives 4,303 terms in ~0.08 s (2 vCPU, Python 3.11).  A larger k
+# is refused before any work.
 MAX_LAMBDA_EXPONENT = 40
 
 _ALLOWED_KINDS = {
@@ -78,13 +98,70 @@ def lambda_d(d: int, sizeD: int) -> RatFunc:
     return (m * Z + 1 - U) / (m * U * Z)
 
 
-# 256 keys: tier-1 uses 114 and invariant_mix 29, and MAX_LAMBDA_EXPONENT
-# keeps one entry under ~0.4 MB.
-@functools.lru_cache(maxsize=256)
-def _normaliser(sizeD: int, n: int, half_steps: int) -> HalfPowerValue:
-    """z^-(n-1) lambda_D^(half_steps/2), the factor of every trace value;
-    lambda_D depends on |D| alone."""
-    return HalfPowerValue(Z ** (-(n - 1)), half_steps, lambda_d(sizeD, sizeD))
+# 128 keys (|D|, k): tier-1 uses 21 and invariant_mix 9, and k <=
+# MAX_LAMBDA_EXPONENT keeps one entry at most 861 terms.
+@functools.lru_cache(maxsize=128)
+def _l_power(sizeD: int, k: int) -> dict:
+    """L^k for L = |D| z + 1 - u, the numerator of |D| u z lambda_D, as
+    {(z exponent, (), u exponent): int} by the trinomial theorem."""
+    return {(i, (), j): math.comb(k, i) * math.comb(k - i, j) * sizeD ** i * (-1) ** j
+            for i in range(k + 1) for j in range(k + 1 - i)}
+
+
+def _add(out: dict, key, v) -> None:
+    """out[key] += v, keeping no zero entry."""
+    s = out.get(key, 0) + v
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _trace_terms(t: RatFunc) -> tuple[int, dict]:
+    """(den, T) with t = sum_T c z^j u^e / den for T = {(j, e): c}: t is a
+    Laurent polynomial over a power of u, and a rational c is an int."""
+    (mono,) = t.den.terms
+    if mono[1:] or mono and mono[0][0] != "u":
+        raise AssertionError("a trace value has z in its denominator")
+    shift = mono[0][1] if mono else 0
+    den = math.lcm(*(c.denominator for c in t.num.terms.values() if type(c) is Fraction))
+    out = {}
+    for mono, c in t.num.terms.items():
+        j = e = 0
+        for v, x in mono:  # t holds u and z alone
+            if v == "z":
+                j = x
+            else:
+                e = x
+        out[(j, e - shift)] = (c.numerator * (den // c.denominator)
+                               if type(c) is Fraction else c * den)
+    return den, out
+
+
+def _divided_by_l(S: dict, sizeD: int, k: int) -> dict | None:
+    """S / L^k for a polynomial S = {(j, (), e): c}, by k synthetic
+    divisions in z; None if L^k does not divide S, at once when S has
+    z-degree below k."""
+    cols: list[dict] = [{} for _ in range(max(j for j, _, _ in S) + 1)]
+    if len(cols) <= k:
+        return None
+    for (j, _, e), c in S.items():
+        cols[j][e] = c
+    for _ in range(k):
+        quot = []
+        for j in range(len(cols) - 1, 0, -1):
+            q = cols[j] if sizeD == 1 else {
+                e: c / sizeD if type(c) is Cyclotomic else Fraction(c, sizeD)
+                for e, c in cols[j].items()}
+            low = cols[j - 1] = dict(cols[j - 1])
+            for e, c in q.items():  # low -= q (1 - u)
+                _add(low, e, -c)
+                _add(low, e + 1, c)
+            quot.append(q)
+        if cols[0]:
+            return None
+        cols = quot[::-1]
+    return {(j, (), e): c for j, col in enumerate(cols) for e, c in col.items()}
 
 
 @dataclass(frozen=True)
@@ -111,9 +188,34 @@ class InvariantRequest:
                              f"{MAX_LAMBDA_EXPONENT}")
 
     def _finish(self, t: RatFunc, size: int) -> HalfPowerValue:
-        """The value from the trace t at formal z: z^-(n-1) lambda_D^(h/2) t."""
-        n = self.braid.n
-        return _normaliser(size, n, self.braid.epsilon() - (n - 1)).scale(t)
+        """The value from the trace t at formal z: z^-(n-1) lambda_D^(h/2) t,
+        written in its normal form (see the module docstring)."""
+        n, m = self.braid.n, size
+        h = self.braid.epsilon() - (n - 1)
+        half = h % 2
+        f = (h - half) // 2
+        base = lambda_d(m, m)
+        if t.is_zero():
+            return HalfPowerValue(RATFUNC_ZERO, half, base)
+        den, T = _trace_terms(t)
+        if f >= 0:  # L^f T / (m^f u^f z^(f+n-1))
+            out: dict = {}
+            for (lz, _, lu), c in _l_power(m, f).items():
+                for (tz, tu), v in T.items():
+                    _add(out, (lz + tz - f - n + 1, (), lu + tu - f), c * v)
+            return HalfPowerValue(laurent_ratfunc(out, den * m ** f), half, base)
+        k = -f  # S / L^k with S = m^k u^k z^(k-n+1) T
+        mk, dz = m ** k, k - n + 1
+        S = {(tz + dz, (), tu + k): v * mk for (tz, tu), v in T.items()}
+        if all(sz >= 0 and su >= 0 for sz, _, su in S):
+            quot = _divided_by_l(S, m, k)
+            if quot is not None:
+                return HalfPowerValue(laurent_ratfunc(quot, den), half, base)
+        over = _l_power(m, k)
+        if k % 2:  # the graded-lex lead of L^k is (-u)^k
+            S = {key: -v for key, v in S.items()}
+            over = {key: -c for key, c in over.items()}
+        return HalfPowerValue(laurent_ratfunc(S, den, over), half, base)
 
 
 @dataclass(frozen=True)
@@ -123,18 +225,21 @@ class _JonesPoint(InvariantRequest):
     def _finish(self, t: RatFunc, size: int) -> HalfPowerValue:
         """u^(h/2) sum_j c_j w^(n-1-j) for t = sum_j c_j z^j and
         w = 1/z0 = -(u+1)|D|, by Horner from c_0 up (see the module
-        docstring); t's denominator is a power of u, kept as it is."""
-        if t.den.variables() - {"u"}:
-            raise AssertionError("a trace value has z in its denominator")
+        docstring)."""
         n = self.braid.n
+        den, T = _trace_terms(t)
         coeffs: list[dict] = [{} for _ in range(n)]
-        for mono, c in t.num.terms.items():
-            coeffs[dict(mono).get("z", 0)][tuple(v for v in mono if v[0] != "z")] = c
-        w = Poly({(("u", 1),): -size, (): -size})
-        acc = Poly.zero()
-        for c in coeffs:
-            acc = acc * w + Poly(c)
-        return HalfPowerValue(RatFunc(acc, t.den), self.braid.epsilon() - (n - 1), U)
+        for (tz, tu), c in T.items():
+            coeffs[tz][(0, (), tu)] = c
+        acc: dict = {}
+        for c in coeffs:  # acc = acc w + c, w = -size - size u
+            nxt = c
+            for (_, _, e), v in acc.items():
+                v = -size * v
+                _add(nxt, (0, (), e), v)
+                _add(nxt, (0, (), e + 1), v)
+            acc = nxt
+        return HalfPowerValue(laurent_ratfunc(acc, den), self.braid.epsilon() - (n - 1), U)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,11 +21,12 @@ Four layers, none of which ever touches floating point:
 * ``HalfPowerValue`` -- r * L^(h/2) for a fixed rational function L and
   h in {0, 1}; integer powers of L are always folded into r.
 
-The algebra and the trace do not use these types: they compute in an integer
-kernel of their own (Laurent polynomials in u, and polynomials in z and x,
-over one integer denominator), and ``laurent_ratfunc`` is the one way from
-that kernel to a ``RatFunc``, built already normalized.  ``RatFunc``
-arithmetic runs where a division happens: lambda_D and the normaliser, z and
+The algebra, the trace and the invariants' last step do not use these
+types: they compute in an integer kernel of their own (Laurent polynomials
+in u, and in z and x, over one integer denominator), and ``laurent_ratfunc``
+is the one way from that kernel to a ``RatFunc``, built already normalized
+(over a monomial, or over a polynomial that the caller vouches for).
+``RatFunc`` arithmetic runs where a division happens: lambda_D itself, z and
 x specialization, elimination, parsing and ``HalfPowerValue``.
 
 A normalized ``RatFunc`` with a constant denominator holds the shared
@@ -850,23 +851,45 @@ def _poly_substitute(p: Poly, mapping: Mapping[str, "RatFunc"]) -> tuple[Poly, P
 
 
 def laurent_ratfunc(terms: Mapping[tuple[int, tuple[int, ...], int], Coeff],
-                    den: int = 1) -> RatFunc:
+                    den: int = 1, over=None) -> RatFunc:
     """sum c z^j x_1^k_1 ... x_{d-1}^k_{d-1} u^e / den over the terms
-    {(j, (k_1, ..., k_{d-1}), e): c} with no zero c, e of either sign: the
-    one way from the algebra's and the trace's integer kernel to a RatFunc.
-    The result is built normalized: u^-low for the least exponent low < 0 is
-    the whole denominator, and den divides into the coefficients."""
-    low = min(0, min((e for _, _, e in terms), default=0))
-    inv = Fraction(1, den)
-    num = {}
-    for (j, ks, e), c in terms.items():
-        num[((("u", e - low),) if e != low else ())
-            + ((("z", j),) if j else ())
-            + tuple((f"x{m}", k) for m, k in enumerate(ks, 1) if k)] = c * inv
+    {(j, (k_1, ..., k_{d-1}), e): c} with no zero c, j and e of either sign:
+    the one way from the integer kernel of the algebra, the trace and the
+    invariants to a RatFunc.  The result is built normalized: u^a z^b, for a and b the
+    negated least u and z exponents floored at 0, is the whole denominator,
+    and den divides into the coefficients.
+
+    ``over``, in the same keys with exponents >= 0 and int coefficients, is
+    a polynomial that the value is also divided by; the denominator is then
+    over * u^a z^b.  The caller vouches that this is the normal form: over
+    has a nonzero constant term and graded-lex leading coefficient 1, and
+    it does not divide the numerator."""
+    low_z = low_u = 0
+    for j, _, e in terms:
+        if j < low_z:
+            low_z = j
+        if e < low_u:
+            low_u = e
+    num = {_kernel_mono(j - low_z, ks, e - low_u):
+           c / den if type(c) is Cyclotomic else Fraction(c, den)
+           for (j, ks, e), c in terms.items()}
+    if over is not None:
+        den_terms = {_kernel_mono(j - low_z, ks, e - low_u): Fraction(c)
+                     for (j, ks, e), c in over.items()}
+    elif low_z or low_u:
+        den_terms = {_kernel_mono(-low_z, (), -low_u): Fraction(1)}
+    else:
+        den_terms = None
     out = object.__new__(RatFunc)
     object.__setattr__(out, "num", Poly._make(num))
-    object.__setattr__(out, "den", Poly.variable("u", -low) if low else _POLY_ONE)
+    object.__setattr__(out, "den", Poly._make(den_terms) if den_terms else _POLY_ONE)
     return out
+
+
+def _kernel_mono(j: int, ks: tuple[int, ...], e: int) -> Mono:
+    """The monomial u^e z^j x_1^k_1 ... of nonnegative exponents."""
+    return (((("u", e),) if e else ()) + ((("z", j),) if j else ())
+            + tuple((f"x{m}", k) for m, k in enumerate(ks, 1) if k))
 
 
 RATFUNC_ZERO = RatFunc(_POLY_ZERO)

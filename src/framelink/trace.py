@@ -21,18 +21,31 @@ denominator that is a power of d.  ``Tracer(d, xs, z)`` is the one
 evaluator, and it stays in that kernel too: the value of a word is a dict
 {(z exponent, x exponents, u exponent): coefficient} over a power of d,
 with int, Fraction or Cyclotomic coefficients, memoized per word.  When
-every x is a number it multiplies in and the key holds no x exponents;
-otherwise x stays formal and adds to its exponent in the key.  z stays
-formal.  ``Tracer.trace`` sums c_w tr(w) in the kernel, divides by the
-denominators once and builds one RatFunc; a given z, and x values that are
-not all numbers, are substituted into that one result.
+every x is a number (an int, Fraction or Cyclotomic is taken as it is, a
+constant RatFunc is read off) it multiplies in and the key holds no x
+exponents; otherwise x stays formal and adds to its exponent in the key.
+z stays formal.  ``Tracer.trace`` sums c_w tr(w) in the kernel, divides by
+the denominators once and builds one RatFunc; a given z, and x values that
+are not all numbers, are substituted into that one result.  One call may
+make at most MAX_TRACE_PRODUCTS coefficient products and is refused with a
+ValueError past them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .algebra import AlgebraElement, _word_product
-from .scalars import RatFunc, laurent_ratfunc
+from .scalars import Cyclotomic, RatFunc, laurent_ratfunc
+
+_NUMBERS = (int, Fraction, Cyclotomic)
+# Coefficient products, counted as len(c) * len(value) per part of a z-step
+# sum, that one ``Tracer.trace`` call may make.  The largest calls make
+# 12,662 (tier-1, criterion 4), 7,387 (`verify --what markov --d 6`), 419
+# (invariant_mix) and 361 (quotient_grid), warm-up + 600 requests at seeds
+# 911-913; the long framed word "-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5" twice
+# plus t1 t2 needs 1,172,925 at d = 3, D = {0,1}, ~20 s of Cyclotomic
+# products (2 vCPU, Python 3.11).  The budget is over 4x the tier-1 largest.
+MAX_TRACE_PRODUCTS = 60_000
 
 # (d, frm, perm) -> ("x", m, (frm', perm')) | ("z", den, ((coeff, frm', perm'), ...)),
 # dropping its oldest key when full.  Tier-1 fills 14,611 keys in one process
@@ -72,25 +85,27 @@ def _strip(d: int, frm: tuple, perm: tuple) -> tuple:
 class Tracer:
     """The trace on Y_{d,n}(u) at one parameter set, memoizing per word.
 
-    xs lists x_1..x_{d-1} (x_0 = 1 always), as scalars convertible to
-    RatFunc; None keeps them formal.  z stays formal unless given.
+    xs lists x_1..x_{d-1} (x_0 = 1 always): an int, Fraction or Cyclotomic
+    is taken as it is, anything else as a scalar convertible to RatFunc;
+    None keeps them formal.  z stays formal unless given.  One ``trace``
+    call may make at most MAX_TRACE_PRODUCTS coefficient products.
     """
 
-    __slots__ = ("d", "_x", "_subs", "_unit", "_memo")
+    __slots__ = ("d", "_x", "_subs", "_unit", "_memo", "_work")
 
     def __init__(self, d: int, xs=None, z=None):
         if d < 1:
             raise ValueError("d must be >= 1")
         subs = {} if z is None else {"z": RatFunc.const(z)}
         if xs is not None:
-            xs = [RatFunc.const(v) for v in xs]
+            xs = [v if type(v) in _NUMBERS else RatFunc.const(v) for v in xs]
             if len(xs) != d - 1:
                 raise ValueError(f"need x_1..x_{d - 1}, got {len(xs)} values")
-            if any(v.variables() for v in xs):
-                subs.update((f"x{m}", v) for m, v in enumerate(xs, start=1))
+            if any(type(v) is RatFunc and v.variables() for v in xs):
+                subs.update((f"x{m}", RatFunc.const(v)) for m, v in enumerate(xs, start=1))
                 xs = None
             else:  # indexed by the framing exponent; an integral value as an int
-                xs = [v.num.constant_value() for v in xs]
+                xs = [v.num.constant_value() if type(v) is RatFunc else v for v in xs]
                 xs = (1, *(int(v) if type(v) is Fraction and v.denominator == 1 else v
                            for v in xs))
         self.d = d
@@ -98,6 +113,7 @@ class Tracer:
         self._subs = subs
         self._unit = (1, {(0, () if xs else (0,) * (d - 1), 0): 1})
         self._memo: dict[tuple, tuple[int, dict]] = {}
+        self._work = 0
 
     def _word(self, frm: tuple, perm: tuple) -> tuple[int, dict]:
         """(den, value) of tr(t^frm g_perm): value / den in the kernel."""
@@ -127,6 +143,11 @@ class Tracer:
         (c, frm, perm) with Laurent c.  Word denominators are powers of d,
         so the largest is their lcm."""
         parts = [(c, self._word(f, p)) for c, f, p in items]
+        work = self._work + sum(len(c) * len(value) for c, (_, value) in parts)
+        if work > MAX_TRACE_PRODUCTS:
+            raise ValueError("the trace exceeds the budget of "
+                             f"{MAX_TRACE_PRODUCTS} coefficient products")
+        self._work = work
         top = max((den for _, (den, _) in parts), default=1)
         out: dict = {}
         for c, (den, value) in parts:
@@ -146,6 +167,7 @@ class Tracer:
     def trace(self, e: AlgebraElement) -> RatFunc:
         if e.d != self.d:
             raise ValueError(f"element has d={e.d}, the trace has d={self.d}")
+        self._work = 0
         top, value = self._sum(((c, f, p) for (f, p), c in e.terms.items()), 0)
         out = laurent_ratfunc(value, top * e.den)
         return out.substitute(self._subs) if self._subs else out

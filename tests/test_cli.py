@@ -6,10 +6,11 @@ import random
 import re
 import sys
 import threading
+import time
 
 import pytest
 
-from framelink import __version__, algebra
+from framelink import __version__, algebra, trace
 from framelink.braids import parse_braid
 from framelink.cli import _cache_key, build_parser, cache_get, cache_put, main
 from framelink.esystem import MAX_MODULUS
@@ -476,6 +477,20 @@ def test_image_term_budget_at_its_real_size(capsys):
     assert code == 0 and err == "" and out.endswith("all checks passed\n")
 
 
+def test_trace_product_budget_at_its_real_size(capsys):
+    # the long framed word maps within the image-term budget, then traces
+    # for ~20 s at d = 3, D = {0,1}; the trace's product budget ends it
+    # after a few seconds with one line
+    word = "n=6 " + " ".join(["-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5"] * 2) + " t1 t2"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "framed-jones", "--d", "3", "--subset", "0,1",
+                         "--braid", word)
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err == ("error: the trace exceeds the budget of "
+                   f"{trace.MAX_TRACE_PRODUCTS} coefficient products\n")
+
+
 def test_missing_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["jones"])
@@ -523,6 +538,38 @@ def _fuzz_argv(rng, tmp_path):
         argv += braid + (["--json"] if rng.random() < 2 / 3 else [])
     if rng.random() < 0.3:
         argv += ["--cache", str(tmp_path / "cache.jsonl")]
+    return argv
+
+
+def _fuzz_other_argv(rng):
+    """esystem, verify or compare with random, sometimes invalid, flags;
+    every valid choice is a cheap run."""
+    command = rng.choice(("esystem", "verify", "compare"))
+    argv = [command]
+    d = rng.choice((None, 0, 33, "x", 1, 2, 2, 3))
+    if command == "esystem":
+        argv += ["--d", str(d if d is not None else 2)]
+        if rng.random() < 0.5:
+            argv.append("--subset=" + rng.choice(("0", "0,1", "1,2", "5", "a", "")))
+        if rng.random() < 0.5:
+            argv.append("--json")
+    elif command == "verify":
+        argv += ["--what", rng.choice(("relations", "skein", "markov", "quotients",
+                                       "nosuch"))]
+        if d is not None and d != 3:
+            argv += ["--d", str(d)]
+        for flag, values in (("--n", (1, 2, 3)), ("--samples", (0, 1, 2)),
+                             ("--seed", (0, 7, -3))):
+            if rng.random() < 0.4:
+                argv += [flag, str(rng.choice(values))]
+    else:
+        argv += ["--family", rng.choice(("classical", "framed", "singular"))]
+        if d is not None:
+            argv += ["--d", str(d), "--subset=" + rng.choice(("0", "0,1", "1", "--", "a"))]
+        for flag in ("--braid-a", "--braid-b"):
+            word = (_fuzz_word(rng) if rng.random() < 0.4 else
+                    " ".join(rng.choice(_FUZZ_CROSSINGS) for _ in range(rng.randint(0, 4))))
+            argv.append(f"{flag}={word}")
     return argv
 
 
@@ -579,3 +626,22 @@ def test_seeded_cli_fuzz(tmp_path, capsys):
             checked += 1
     assert all(code == 2 for code in codes[: len(fixed)])
     assert codes.count(0) > 50 and codes.count(2) > 50 and checked > 30
+
+
+def test_seeded_cli_fuzz_other_commands(capsys):
+    # esystem and verify end with exit 0 or 2, compare also with 1 when the
+    # values differ; exit 2 is one line on stderr, and nothing prints a traceback
+    rng = random.Random(1503)
+    codes = {}
+    for argv in [_fuzz_other_argv(rng) for _ in range(80)]:
+        code, out, err = _run_or_exit(capsys, argv)
+        codes.setdefault(argv[0], []).append(code)
+        assert code in ((0, 1, 2) if argv[0] == "compare" else (0, 2)), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert len(err.splitlines()) == 1 and out == "", argv
+        if code == 0 and argv[0] == "verify":
+            assert out.endswith("all checks passed\n"), argv
+    for command in ("esystem", "verify", "compare"):
+        assert {0, 2} <= set(codes[command]), (command, codes[command])
+    assert 1 in codes["compare"]

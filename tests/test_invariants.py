@@ -14,6 +14,7 @@ from framelink.esystem import build_solution
 from framelink.invariants import (
     MAX_LAMBDA_EXPONENT,
     InvariantRequest,
+    InvariantValue,
     compare_links,
     framed_jones,
     homflypt,
@@ -22,7 +23,7 @@ from framelink.invariants import (
     lambda_d,
     verify_skein,
 )
-from framelink.scalars import HalfPowerValue, RatFunc, RATFUNC_ONE, U, Z
+from framelink.scalars import Cyclotomic, HalfPowerValue, RatFunc, RATFUNC_ONE, U, Z
 from framelink.trace import Tracer
 from helpers import random_braid
 
@@ -277,7 +278,7 @@ def test_lambda_exponent_budget():
 def test_constant_caches_are_bounded():
     for cached in (algebra.gen_g, algebra.gen_t, algebra.idempotent_e,
                    algebra.inverse_g, algebra.p_elem, algebra._word_product,
-                   esystem._solution, invariants.lambda_d, invariants._normaliser,
+                   esystem._solution, invariants.lambda_d, invariants._l_power,
                    quotients._generic_scan, quotients._conjugation_certificate):
         assert cached.cache_info().maxsize is not None, cached
 
@@ -293,6 +294,72 @@ def test_strip_table_is_bounded(monkeypatch):
     got = Tracer(2, sol.x[1:]).trace(map_to_algebra(b, 2))
     assert got == want
     assert len(trace._STRIP) == 5
+
+
+# -- the formal-z finish against the RatFunc route --------------------------------
+
+
+def _finish_word(rng, n, family, d):
+    """A word on n strands whose crossings are mostly positive or mostly
+    negative, so that f = floor(h/2) takes both signs; a framed word gets
+    t letters, a singular one tau letters."""
+    bias = rng.choice((0.15, 0.5, 0.85))
+    letters = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if family == "framed" and (roll < 0.3 or n == 1):
+            letters.append(("t", rng.randint(1, n), rng.randint(1, d)))
+        elif family == "singular" and roll < 0.25 and n > 1:
+            letters.append(("x", rng.randint(1, n - 1)))
+        elif n > 1:
+            letters.append(("s", rng.randint(1, n - 1), 1 if rng.random() < bias else -1))
+    return BraidWord(letters, n=n)
+
+
+def _terms(p):
+    return {mono: (type(c), c) for mono, c in p.terms.items()}
+
+
+def _json(value, family, d, D, b):
+    return InvariantValue(value, family, d, D, b.n, b.epsilon()).to_json()
+
+
+def test_kernel_finish_matches_the_ratfunc_route():
+    # invariant writes z^-(n-1) lambda_D^(h/2) tr in its normal form straight
+    # from the trace polynomial; here the same value is multiplied out as
+    # RatFuncs from the trace at the request's reduced d, and the two must
+    # agree term by term, coefficient types included
+    rng = random.Random(1801)
+    seen = set()
+    for d in (1, 2, 3):
+        for D in _subsets_to_check(rng, d):
+            for n in (1, 2, 3, 4):
+                for family in ("classical", "framed", "singular", "framed"):
+                    b = _finish_word(rng, n, family, d)
+                    got = invariant(InvariantRequest(b, family, d, D))
+                    sol = build_solution(d, D)
+                    m = sol.size()
+                    at = sol if b.kind == "framed" else build_solution(m, range(m))
+                    t = Tracer(at.d, at.x[1:]).trace(map_to_algebra(b, at.d))
+                    h = b.epsilon() - (n - 1)
+                    want = HalfPowerValue(Z ** -(n - 1), h, lambda_d(m, m)).scale(t)
+                    where = (d, D, b.render())
+                    assert _terms(got.value.value.num) == _terms(want.value.num), where
+                    assert _terms(got.value.value.den) == _terms(want.value.den), where
+                    assert got.value.half == want.half, where
+                    assert got.value.base == want.base, where
+                    assert got.render() == want.render(), where
+                    assert got.to_json() == _json(want, family, d, sol.D, b), where
+                    f = h // 2
+                    seen.add(("f", (f > 0) - (f < 0)))
+                    if f < 0 and not t.is_zero():
+                        seen.add(("divides", want.value.den.is_constant()))
+                    if t.is_zero():
+                        seen.add("zero")
+                    if any(type(c) is Cyclotomic for c in want.value.num.terms.values()):
+                        seen.add(("cyclotomic", d, D))
+    assert {("f", 1), ("f", 0), ("f", -1), ("divides", True), ("divides", False),
+            "zero", ("cyclotomic", 3, (0, 1))} <= seen, seen
 
 
 # -- Jones values against the z-substitution route -----------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import oracle_hecke as oracle
 import oracle_yokonuma as yok
-from framelink import perms
+from framelink import perms, trace
 from framelink.algebra import (
     AlgebraElement,
     gen_g,
@@ -192,6 +192,31 @@ def test_specialized_x_values_reduce_mod_d():
     assert t.trace(gen_t(2, 1, 1, 0)) == RATFUNC_ONE
     assert t.trace(gen_t(2, 1, 1, 1)) == RatFunc.const(0)
     assert t.trace(gen_t(2, 1, 1, 3)) == RatFunc.const(0)
+
+
+def test_numeric_x_are_taken_as_they_are():
+    # an int, Fraction or Cyclotomic x gives the trace of the same x as a
+    # constant RatFunc
+    e = map_to_algebra(parse_braid("t1 s1 -s2 t3^2 s1 t2"), 3)
+    for xs in ((0, Fraction(1, 2)), (Fraction(3), -2), build_solution(3, (0, 1)).x[1:]):
+        want = Tracer(3, [RatFunc.const(v) for v in xs]).trace(e)
+        got = Tracer(3, xs).trace(e)
+        assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+
+
+def test_trace_product_budget(monkeypatch):
+    # one trace call may make MAX_TRACE_PRODUCTS coefficient products; the
+    # count starts again at every call
+    e = map_to_algebra(parse_braid("t1 s1 -s2 s1 s2 -s1 t3"), 2)
+    tracer = Tracer(2, (Fraction(1, 3),))
+    want = tracer.trace(e)
+    need = tracer._work
+    monkeypatch.setattr(trace, "MAX_TRACE_PRODUCTS", need)
+    tracer = Tracer(2, (Fraction(1, 3),))
+    assert tracer.trace(e) == want and tracer.trace(e) == want
+    monkeypatch.setattr(trace, "MAX_TRACE_PRODUCTS", need - 1)
+    with pytest.raises(ValueError, match=f"budget of {need - 1} coefficient products"):
+        Tracer(2, (Fraction(1, 3),)).trace(e)
 
 
 # -- the strand strip ----------------------------------------------------------
