@@ -18,6 +18,8 @@ solution of D exactly when y = (d/|D|) 1_D.  YTL passes when y has that
 shape with |D| <= 2 and z is -1/(u+1) or -1 for |D| = 1, -1/2 for
 |D| = 2.  FTL passes when every nonzero y_k is -dz or -dz(u+1), with
 z = -1/(|D_1| + (u+1)|D_2|) for the two blocks D_1, D_2 of the support.
+The transform runs in Fraction and Cyclotomic numbers when every x is a
+constant, and in RatFunc only when some x is rational in u.
 
 CTL passes when (u+1) z^2 sum_k x_k + (u+2) z sum_k tr(e_1^{(k)})
 + sum_k tr(e_1^{(k)} e_2) = 0, with e_1^{(k)} = t_1^k e_1.  These are
@@ -51,6 +53,17 @@ each verified rather than assumed, and by walking the basis:
   one generator, so terms cancel at every step; it keeps split_basis order,
   so the kept words and witnesses are those of the direct products.
 
+The substitution itself runs in integers.  A check's z and x are values in
+Q(zeta_L)(u), L the lcm of their conductors; each is split as P / Q with
+P, Q integer polynomials in u and w = zeta_L, and a kept value, whose
+denominator holds only u, is read as integer coefficients of its (z, x)
+monomials.  Multiplying by the product of the Q^top of its variables turns
+the substituted value into N = sum c(u) prod P^e Q^(top-e), a polynomial
+in u and w, and the value vanishes exactly when every u-coefficient of N is
+0 mod the cyclotomic polynomial Phi_L(w): an exact test with no rational
+function built.  RatFunc.substitute runs only for the witness value of the
+first failing word, which quotient_report prints.
+
 ideal_inclusion decides the chain of the three defining ideals without the
 pair loop either: it closes the span of one generator under multiplication
 by the algebra generators on both sides, which gives its whole two-sided
@@ -59,6 +72,7 @@ ideal because words in those generators span Y_{d,n}(u).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,7 +86,14 @@ from .algebra import (
     split_basis,
 )
 from .esystem import MAX_MODULUS, fourier_transform
-from .scalars import Poly, RatFunc, RATFUNC_ZERO, U
+from .scalars import (
+    Cyclotomic,
+    Poly,
+    RatFunc,
+    RATFUNC_ZERO,
+    U,
+    cyclotomic_polynomial,
+)
 from .trace import Tracer
 
 KINDS = ("ytl", "ftl", "ctl")
@@ -81,7 +102,11 @@ _N = 3  # strands of the ideal criterion; n > 3 exceeds the budget
 
 @dataclass(frozen=True)
 class QuotientCheck:
-    """One parameter set to test: quotient kind, d, z value, x_1..x_{d-1}."""
+    """One parameter set to test: quotient kind, d, z value, x_1..x_{d-1}.
+
+    z and each x are values in Q(zeta)(u): any other variable is refused
+    with ValueError, since a formal parameter is not a parameter set.
+    """
 
     kind: str
     d: int
@@ -97,6 +122,10 @@ class QuotientCheck:
             raise ValueError(f"need x_1..x_{self.d - 1}")
         object.__setattr__(self, "zval", RatFunc.const(self.zval))
         object.__setattr__(self, "xs", tuple(RatFunc.const(v) for v in self.xs))
+        for v in (self.zval, *self.xs):
+            if v.variables() - {"u"}:
+                raise ValueError(f"a quotient parameter may hold no variable but u, "
+                                 f"got {v.render()}")
 
     def substitution(self) -> dict[str, RatFunc]:
         out = {"z": self.zval}
@@ -154,22 +183,160 @@ def _coordinates(value: RatFunc) -> dict:
     return {rest: RatFunc(Poly(terms), value.den) for rest, terms in parts.items()}
 
 
-def _scan(check: QuotientCheck):
-    """(verdict, witness) for the ideal criterion; witness is (a, b, value)."""
+# One entry per (kind, d) with d <= MAX_MODULUS.
+@functools.lru_cache(maxsize=len(KINDS) * MAX_MODULUS)
+def _kernel_scan(kind: str, d: int) -> tuple:
+    """(tops, ((word, generic, form), ...)) for the kept words of the scan.
+
+    form is the numerator of tr(gen . word) in the integer kernel, as
+    ((exps, ((u exponent, c), ...)), ...) with exps = (z exponent, x_1
+    exponent, ...), scaled to int coefficients; the denominator holds only u
+    and is nonzero, so it never decides whether a value vanishes.  tops[i]
+    is the largest exponent of variable i (z, x_1, ...) over every form.
+    """
+    names = ("z",) + tuple(f"x{m}" for m in range(1, d))
+    tops = [0] * d
+    kept = []
+    for word, generic in _generic_scan(kind, d):
+        terms = generic.num.terms
+        if any(type(c) is not Fraction for c in terms.values()):
+            raise AssertionError("a generic trace value has an irrational coefficient")
+        scale = math.lcm(*(c.denominator for c in terms.values()))
+        form: dict = {}
+        for mono, c in terms.items():
+            exps = dict(mono)
+            key = tuple(exps.get(v, 0) for v in names)
+            form.setdefault(key, []).append((exps.get("u", 0),
+                                             c.numerator * (scale // c.denominator)))
+            tops = [max(t, k) for t, k in zip(tops, key)]
+        kept.append((word, generic, tuple((k, tuple(v)) for k, v in form.items())))
+    return tuple(tops), tuple(kept)
+
+
+def _kernel_mul(a: dict, b: dict, L: int) -> dict:
+    """a * b for polynomials {(u exponent, w exponent): int} with w^L = 1."""
+    out: dict = {}
+    for (e1, k1), c1 in a.items():
+        for (e2, k2), c2 in b.items():
+            key = (e1 + e2, (k1 + k2) % L)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+_KERNEL_ONE = {(0, 0): 1}
+
+
+def _split(value: RatFunc, L: int) -> tuple[dict, dict]:
+    """value = P / Q with P, Q polynomials {(u exponent, w exponent): int} in u
+    and w = zeta_L; one integer clears the denominators of both."""
+    coeffs = list(value.num.terms.values()) + list(value.den.terms.values())
+    scale = math.lcm(*(q.denominator for c in coeffs
+                       for q in (c.c if type(c) is Cyclotomic else (c,))))
+    out = []
+    for poly in (value.num, value.den):
+        part = {}
+        for mono, c in poly.terms.items():
+            e = mono[0][1] if mono else 0
+            if type(c) is Cyclotomic:  # zeta_m = w^(L/m)
+                for j, cj in enumerate(c.c):
+                    if cj:
+                        part[(e, j * (L // c.m))] = cj.numerator * (scale // cj.denominator)
+            else:
+                part[(e, 0)] = c.numerator * (scale // c.denominator)
+        out.append(part)
+    return out[0], out[1]
+
+
+class _Specialization:
+    """One check's z and x in the integer kernel, for the zero test of forms.
+
+    Each value is split as P / Q over Z[u, w], w = zeta_L with L the lcm of
+    the conductors of the check's coefficients (1 when all are rational),
+    and w^L = 1 is used while multiplying.  A variable of top exponent t
+    gives the table P^e Q^(t-e), e = 0..t, built once; the value of a form
+    times the product of the Q^t is then N = sum c(u) * prod of table
+    entries, and it vanishes exactly when N is 0 mod Phi_L(w).
+    """
+
+    def __init__(self, check: QuotientCheck, tops: tuple):
+        values = (check.zval,) + check.xs
+        self.L = L = math.lcm(*(c.m for v in values
+                                for poly in (v.num, v.den)
+                                for c in poly.terms.values() if type(c) is Cyclotomic))
+        self.tables = []
+        for v, top in zip(values, tops):
+            p, q = _split(v, L)
+            ps, qs = [_KERNEL_ONE], [_KERNEL_ONE]
+            for _ in range(top):
+                ps.append(_kernel_mul(ps[-1], p, L))
+                qs.append(_kernel_mul(qs[-1], q, L))
+            self.tables.append([_kernel_mul(ps[e], qs[top - e], L) for e in range(top + 1)])
+        self.memo: dict = {}
+
+    def _monomial(self, exps: tuple) -> dict:
+        out = self.memo.get(exps)
+        if out is None:
+            out = _KERNEL_ONE
+            for table, e in zip(self.tables, exps):
+                if len(table) > 1:
+                    out = _kernel_mul(out, table[e], self.L)
+            self.memo[exps] = out
+        return out
+
+    def vanishes(self, form: tuple) -> bool:
+        """Does the value of a kernel form vanish at this z and x?"""
+        total: dict = {}
+        for exps, coeff in form:
+            mono = self._monomial(exps)
+            for e1, c1 in coeff:
+                for (e2, k), c2 in mono.items():
+                    key = (e1 + e2, k)
+                    total[key] = total.get(key, 0) + c1 * c2
+        L = self.L
+        if L == 1:
+            return not any(total.values())
+        phi = [int(c) for c in cyclotomic_polynomial(L)]  # monic, integral
+        deg = len(phi) - 1
+        rows: dict = {}
+        for (e, k), c in total.items():
+            rows.setdefault(e, [0] * L)[k] = c
+        for row in rows.values():
+            for j in range(L - 1, deg - 1, -1):  # w^j -= w^(j-deg) Phi_L(w)
+                c = row[j]
+                if c:
+                    for i in range(deg):
+                        row[j - deg + i] -= c * phi[i]
+            if any(row[:deg]):
+                return False
+        return True
+
+
+def _first_failure(check: QuotientCheck):
+    """(word, generic value) of the first kept word whose substituted value
+    does not vanish, or None."""
     if not _conjugation_certificate(check.d):
         raise AssertionError("trace conjugation certificate failed")
-    subs = check.substitution()
+    tops, kept = _kernel_scan(check.kind, check.d)
+    spec = _Specialization(check, tops)
+    for word, generic, form in kept:
+        if not spec.vanishes(form):
+            return word, generic
+    return None
+
+
+def _scan(check: QuotientCheck):
+    """(verdict, witness) for the ideal criterion; witness is (a, b, value)."""
+    failure = _first_failure(check)
+    if failure is None:
+        return True, None
+    word, generic = failure
     unit_word = ((0,) * _N, tuple(range(1, _N + 1)))
-    for word, generic in _generic_scan(check.kind, check.d):
-        val = generic.substitute(subs)
-        if not val.is_zero():
-            return False, (unit_word, word, val)
-    return True, None
+    return False, (unit_word, word, generic.substitute(check.substitution()))
 
 
 def trace_vanishes_on_ideal(check: QuotientCheck) -> bool:
     """Does the substituted trace kill the two-sided ideal of the generator?"""
-    return _scan(check)[0]
+    return _first_failure(check) is None
 
 
 def _deep_scan(check: QuotientCheck):
@@ -211,8 +378,15 @@ _YTL_Z = {1: (RatFunc.const(-1) / (U + 1), RatFunc.const(-1)),
           2: (RatFunc.const(Fraction(-1, 2)),)}
 
 
+def _transform(check: QuotientCheck):
+    """The Fourier transform of (1, x_1..x_{d-1}), in numbers when every x is
+    constant: a constant x is read as its Fraction or Cyclotomic."""
+    return fourier_transform((1, *(v if v.variables() else v.num.constant_value()
+                                   for v in check.xs)))
+
+
 def _ytl_admissible(check: QuotientCheck) -> bool:
-    ft = fourier_transform((1,) + check.xs)
+    ft = _transform(check)
     size = len(ft.support)
     if not any(check.zval == t for t in _YTL_Z.get(size, ())):
         return False
@@ -222,20 +396,21 @@ def _ytl_admissible(check: QuotientCheck) -> bool:
 
 def _ftl_admissible(check: QuotientCheck) -> bool:
     d, z = check.d, check.zval
-    ft = fourier_transform((1,) + check.xs)
+    ft = _transform(check)
     neg_dz = RatFunc.const(-d) * z
-    d1 = [k for k in range(d) if ft.y[k] == neg_dz]
-    d2 = [k for k in range(d) if ft.y[k] == neg_dz * (U + 1)]
-    if set(d1) & set(d2):
-        return False
-    if tuple(sorted(d1 + d2)) != ft.support:
+    neg_dz_u = neg_dz * (U + 1)
+    # the support is never empty (sum_k y_k = d), and the two blocks are
+    # disjoint: for z != 0 the two values differ, for z = 0 both are empty
+    d1 = [k for k in ft.support if ft.y[k] == neg_dz]
+    d2 = [k for k in ft.support if ft.y[k] == neg_dz_u]
+    if len(d1) + len(d2) != len(ft.support):
         return False
     denom = RatFunc.const(len(d1)) + (U + 1) * RatFunc.const(len(d2))
     return z == RatFunc.const(-1) / denom
 
 
 def _ctl_admissible(check: QuotientCheck) -> bool:
-    y0 = RatFunc.const(fourier_transform((1,) + check.xs).y[0])
+    y0 = RatFunc.const(_transform(check).y[0])
     w = y0 * Fraction(1, check.d)
     z = check.zval
     return any(f.is_zero() for f in (y0, z + w, (U + 1) * z + w))

@@ -26,8 +26,12 @@ types: they compute in an integer kernel of their own (Laurent polynomials
 in u, and in z and x, over one integer denominator), and ``laurent_ratfunc``
 is the one way from that kernel to a ``RatFunc``, built already normalized
 (over a monomial, or over a polynomial that the caller vouches for).
-``RatFunc`` arithmetic runs where a division happens: lambda_D itself, z and
-x specialization, elimination, parsing and ``HalfPowerValue``.
+``RatFunc`` arithmetic runs where a division happens: lambda_D itself, the
+z and x values that a ``Tracer`` substitutes, the quotient closed forms and
+the one witness value a failing quotient check prints, elimination, parsing
+and ``HalfPowerValue``.  The quotient scan decides its verdicts without it:
+``quotients`` substitutes z and x into integer polynomials in u and zeta_L
+and reduces modulo ``cyclotomic_polynomial(L)``.
 
 A normalized ``RatFunc`` with a constant denominator holds the shared
 ``_POLY_ONE``, so products and sums of polynomials skip normalization by an

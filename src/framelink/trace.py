@@ -27,25 +27,28 @@ exponents; otherwise x stays formal and adds to its exponent in the key.
 z stays formal.  ``Tracer.trace`` sums c_w tr(w) in the kernel, divides by
 the denominators once and builds one RatFunc; a given z, and x values that
 are not all numbers, are substituted into that one result.  One call may
-make at most MAX_TRACE_PRODUCTS coefficient products and is refused with a
-ValueError past them.
+make at most MAX_TRACE_PRODUCTS coefficient products, each weighted by its
+cost in int products, and is refused with a ValueError past them.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .algebra import AlgebraElement, _word_product
-from .scalars import Cyclotomic, RatFunc, laurent_ratfunc
+from .scalars import Cyclotomic, RatFunc, cyclotomic_polynomial, laurent_ratfunc
 
 _NUMBERS = (int, Fraction, Cyclotomic)
 # Coefficient products, counted as len(c) * len(value) per part of a z-step
-# sum, that one ``Tracer.trace`` call may make.  The largest calls make
-# 12,662 (tier-1, criterion 4), 7,387 (`verify --what markov --d 6`), 419
-# (invariant_mix) and 361 (quotient_grid), warm-up + 600 requests at seeds
-# 911-913; the long framed word "-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5" twice
-# plus t1 t2 needs 1,172,925 at d = 3, D = {0,1}, ~20 s of Cyclotomic
-# products (2 vCPU, Python 3.11).  The budget is over 4x the tier-1 largest.
-MAX_TRACE_PRODUCTS = 60_000
+# sum and weighted by the Tracer's cost of one product (phi(m)^2 when the x
+# lie in Q(zeta_m), 1 otherwise), that one ``Tracer.trace`` call may make.
+# The largest calls make 12,662 int products and 50,292 units of Cyclotomic
+# ones (tier-1), 89,418 (`verify --what markov --d 3 --n 5`, 0.7 s) and
+# 752,832 (`verify --what markov --d 6 --n 4`, 2.9 s); the long framed word
+# "-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5" twice plus t1 t2 needs 4,691,700 at
+# d = 3, D = {0,1}, ~20 s of Cyclotomic products, and is refused after
+# ~2.7 s (2 vCPU, Python 3.11).
+MAX_TRACE_PRODUCTS = 1_000_000
 
 # (d, frm, perm) -> ("x", m, (frm', perm')) | ("z", den, ((coeff, frm', perm'), ...)),
 # dropping its oldest key when full.  Tier-1 fills 14,611 keys in one process
@@ -88,10 +91,10 @@ class Tracer:
     xs lists x_1..x_{d-1} (x_0 = 1 always): an int, Fraction or Cyclotomic
     is taken as it is, anything else as a scalar convertible to RatFunc;
     None keeps them formal.  z stays formal unless given.  One ``trace``
-    call may make at most MAX_TRACE_PRODUCTS coefficient products.
+    call may make at most MAX_TRACE_PRODUCTS weighted coefficient products.
     """
 
-    __slots__ = ("d", "_x", "_subs", "_unit", "_memo", "_work")
+    __slots__ = ("d", "_x", "_subs", "_unit", "_memo", "_work", "_weight")
 
     def __init__(self, d: int, xs=None, z=None):
         if d < 1:
@@ -114,6 +117,10 @@ class Tracer:
         self._unit = (1, {(0, () if xs else (0,) * (d - 1), 0): 1})
         self._memo: dict[tuple, tuple[int, dict]] = {}
         self._work = 0
+        # one coefficient product in int-product units: phi(m)^2 for x in
+        # Q(zeta_m), m the lcm of their conductors, else 1
+        m = math.lcm(*(v.m for v in xs or () if type(v) is Cyclotomic))
+        self._weight = (len(cyclotomic_polynomial(m)) - 1) ** 2
 
     def _word(self, frm: tuple, perm: tuple) -> tuple[int, dict]:
         """(den, value) of tr(t^frm g_perm): value / den in the kernel."""
@@ -143,7 +150,7 @@ class Tracer:
         (c, frm, perm) with Laurent c.  Word denominators are powers of d,
         so the largest is their lcm."""
         parts = [(c, self._word(f, p)) for c, f, p in items]
-        work = self._work + sum(len(c) * len(value) for c, (_, value) in parts)
+        work = self._work + self._weight * sum(len(c) * len(value) for c, (_, value) in parts)
         if work > MAX_TRACE_PRODUCTS:
             raise ValueError("the trace exceeds the budget of "
                              f"{MAX_TRACE_PRODUCTS} coefficient products")

@@ -491,6 +491,14 @@ def test_trace_product_budget_at_its_real_size(capsys):
                    f"{trace.MAX_TRACE_PRODUCTS} coefficient products\n")
 
 
+def test_trace_budget_passes_five_strands(capsys):
+    # the largest trace call here makes 89,418 int products at d' = 2: the
+    # budget weighs a product by its cost, so cheap products fit where the
+    # long framed word's Cyclotomic ones do not
+    code, out, err = run(capsys, "verify", "--what", "markov", "--d", "3", "--n", "5")
+    assert code == 0 and err == "" and out.endswith("all checks passed\n")
+
+
 def test_missing_argument_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["jones"])

@@ -19,15 +19,17 @@ from framelink.esystem import build_solution, enumerate_solutions, inverse_fouri
 from framelink.quotients import (
     KINDS,
     QuotientCheck,
+    _Specialization,
     _deep_scan,
     _generic_scan,
+    _kernel_scan,
     _scan,
     admissible,
     ideal_inclusion,
     quotient_report,
     trace_vanishes_on_ideal,
 )
-from framelink.scalars import RatFunc, U
+from framelink.scalars import Cyclotomic, RatFunc, U, Z, x_var
 from framelink.trace import Tracer
 
 Z_TL = -(U + 1) ** -1
@@ -415,6 +417,61 @@ def test_basis_scan_matches_the_literal_scan(d, kinds):
                 assert (_deep_scan(check) is None) is verdict
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def _kernel_points(rng):
+    """Seeded checks for the kernel zero test, every kind at d <= 3 (CTL to
+    d = 2), FTL block points among them, then d = 3 points in Q(zeta)(u)."""
+    for d, kinds in ((1, KINDS), (2, KINDS), (3, ("ytl", "ftl"))):
+        for kind in kinds:
+            yield from _seeded_points(rng, kind, d)
+    # the solutions with |D| <= 2 whose x are irrational
+    small = [s for s in enumerate_solutions(3)
+             if s.size() <= 2 and all(type(v) is Cyclotomic for v in s.x[1:])]
+    for kind in ("ytl", "ftl"):
+        # z rational in u, Cyclotomic x: a passing and an arbitrary z
+        sol = rng.choice([s for s in small if s.size() == 1])
+        yield QuotientCheck(kind, 3, Z_TL, sol.x[1:])
+        yield QuotientCheck(kind, 3, (U + rng.randint(1, 5)) / (rng.randint(2, 5) * U + 1),
+                            sol.x[1:])
+        # a solution written at conductor 6, and at mixed conductors
+        sol = rng.choice(small)
+        z = Fraction(-1, sol.size())
+        yield QuotientCheck(kind, 3, z, tuple(Cyclotomic(6, v._coeffs_at(6)) for v in sol.x[1:]))
+        yield QuotientCheck(kind, 3, z, (Cyclotomic(6, sol.x[1]._coeffs_at(6)), sol.x[2]))
+        # a positive z never passes
+        yield QuotientCheck(kind, 3, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                            (Cyclotomic.root_of_unity(6, rng.choice((1, 2, 4, 5))),
+                             Cyclotomic.root_of_unity(3, rng.randint(1, 2))))
+
+
+def test_kernel_zero_test_matches_substitution():
+    # every kept word, not only the first failing one: the integer-kernel
+    # zero test against the substituted RatFunc value
+    rng = random.Random(3200)
+    seen = set()
+    for check in _kernel_points(rng):
+        tops, kept = _kernel_scan(check.kind, check.d)
+        spec = _Specialization(check, tops)
+        subs = check.substitution()
+        for _, generic, form in kept:
+            zero = generic.substitute(subs).is_zero()
+            assert spec.vanishes(form) is zero, (check, generic)
+            seen.add((check.d, spec.L, zero))
+    assert seen >= {(1, 1, True), (1, 1, False), (2, 1, True), (2, 1, False),
+                    (3, 1, False), (3, 3, True), (3, 3, False), (3, 6, True), (3, 6, False)}
+
+
+@pytest.mark.parametrize("z,xs", [
+    (Z, (1,)),
+    (-1, (x_var(1),)),
+    (-1, (U * x_var(1),)),
+    (U + Z, (0,)),
+], ids=["z", "x1", "u*x1", "u+z"])
+def test_rejects_formal_parameters(z, xs):
+    with pytest.raises(ValueError, match="no variable but u") as exc:
+        QuotientCheck("ytl", 2, z, xs)
+    assert "\n" not in str(exc.value)
 
 
 # -- reports -----------------------------------------------------------------

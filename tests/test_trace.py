@@ -219,6 +219,16 @@ def test_trace_product_budget(monkeypatch):
         Tracer(2, (Fraction(1, 3),)).trace(e)
 
 
+def test_trace_budget_weighs_cyclotomic_products():
+    # a product of Q(zeta_3) values counts phi(3)^2 = 4 int products
+    e = map_to_algebra(parse_braid("t1 s1 -s2 s1 s2 -s1 t3^2"), 3)
+    rational = Tracer(3, (Fraction(1, 3), Fraction(2, 5)))
+    cyclotomic = Tracer(3, build_solution(3, (0, 1)).x[1:])
+    rational.trace(e)
+    cyclotomic.trace(e)
+    assert rational._work > 0 and cyclotomic._work == 4 * rational._work
+
+
 # -- the strand strip ----------------------------------------------------------
 
 
