@@ -49,7 +49,7 @@ from .scalars import U, RatFunc
 
 CACHE_ENV = "FRAMELINK_CACHE"
 # Each step in d multiplies the cost of `verify --what quotients`: --d 3
-# takes ~1 s and --d 4 ~5 s (2 vCPU, Python 3.11), so --d is capped.
+# takes ~0.5 s and --d 4 ~2 s (2 vCPU, Python 3.11), so --d is capped.
 MAX_QUOTIENT_VERIFY_D = 3
 RELATION_NAMES = ("cubic", "cubic_factorization", "gipi", "quadratic_p",
                   "eta_relations", "bmw_quintic_factorization")

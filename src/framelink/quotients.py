@@ -37,37 +37,31 @@ each verified rather than assumed, and by walking the basis:
 * with that, tr(a gen b) = tr(gen (b a)), and b a expands over the basis,
   so vanishing on all pairs is equivalent to tr(gen c) = 0 for every basis
   word c.  A failing word c yields the witness pair (1, c);
-* only a basis of those generic values is substituted.  Each generic value
-  tr(gen c) is a vector over Q(zeta_d)(u), one coordinate per monomial in z
-  and x_1..x_{d-1}, and substituting z and x fixes Q(zeta_d)(u), so it is
-  linear: every value vanishes exactly when the values of a spanning set
-  do.  When the generic values are built, the words are taken once in
-  split-basis order, and a word is kept when its value is not in the span
-  of the values kept before it.  The first word of the full scan whose value does
-  not vanish is always kept, because every value before it vanishes and so
-  does everything in their span; the kept words therefore give the same
-  verdict and the same witness as all d^3 3! words.  At n = 3 that keeps 1
-  word at d = 1, 4 / 2 / 1 of 48 (YTL / FTL / CTL) at d = 2 and 10 / 3 of
-  162 (YTL / FTL) at d = 3.
+* only a basis of those generic values is substituted: a generic value is a
+  vector over Q(u), one coordinate per (z, x) monomial, and substituting z
+  and x is linear over Q(u).  The words are taken in split-basis order and a
+  word is kept when its value is not in the span of those kept before it;
+  the first word whose value does not vanish is always kept, so the kept
+  words give the verdict and the witness of all d^3 3! words.  That keeps 1
+  word at d = 1, 4 / 2 / 1 (YTL / FTL / CTL) of 48 at d = 2 and 10 / 3 / 1
+  of 162 at d = 3;
 * the products gen c come from algebra.basis_walk, each an earlier one times
   one generator, so terms cancel at every step; it keeps split_basis order,
   so the kept words and witnesses are those of the direct products.
 
-The substitution itself runs in integers.  A check's z and x are values in
-Q(zeta_L)(u), L the lcm of their conductors; each is split as P / Q with
-P, Q integer polynomials in u and w = zeta_L, and a kept value, whose
-denominator holds only u, is read as integer coefficients of its (z, x)
-monomials.  Multiplying by the product of the Q^top of its variables turns
-the substituted value into N = sum c(u) prod P^e Q^(top-e), a polynomial
-in u and w, and the value vanishes exactly when every u-coefficient of N is
-0 mod the cyclotomic polynomial Phi_L(w): an exact test with no rational
-function built.  RatFunc.substitute runs only for the witness value of the
-first failing word, which quotient_report prints.
+Spans are decided by one fraction-free echelon over Z[u, u^-1] (_Span):
+entries stay integer Laurent polynomials, a row is made primitive when it
+is stored, and no RatFunc is built.  A check's z and x, values in
+Q(zeta_L)(u) with L the lcm of their conductors, are split as P / Q over
+Z[u, w], w = zeta_L, so a kept value times the Q^top of its variables is
+N = sum c(u) prod P^e Q^(top-e), and it vanishes exactly when every
+u-coefficient of N is 0 mod Phi_L(w).  RatFunc.substitute runs only for the
+witness value of the first failing word, which quotient_report prints.
 
-ideal_inclusion decides the chain of the three defining ideals without the
-pair loop either: it closes the span of one generator under multiplication
-by the algebra generators on both sides, which gives its whole two-sided
-ideal because words in those generators span Y_{d,n}(u).
+ideal_inclusion decides the chain of the three defining ideals in the same
+echelon, without the pair loop: it closes the span of one generator under
+multiplication by the algebra generators on both sides, which gives its
+whole two-sided ideal because words in those generators span Y_{d,n}(u).
 """
 from __future__ import annotations
 
@@ -78,6 +72,8 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
+    _bump,
+    _lmul,
     _times_letter,
     basis_walk,
     gen_g,
@@ -88,10 +84,10 @@ from .algebra import (
 from .esystem import MAX_MODULUS, fourier_transform
 from .scalars import (
     Cyclotomic,
-    Poly,
     RatFunc,
-    RATFUNC_ZERO,
     U,
+    _uni_divmod,
+    _uni_gcd,
     cyclotomic_polynomial,
 )
 from .trace import Tracer
@@ -156,60 +152,33 @@ def _conjugation_certificate(d: int) -> bool:
 # One entry per (kind, d) with d <= MAX_MODULUS.
 @functools.lru_cache(maxsize=len(KINDS) * MAX_MODULUS)
 def _generic_scan(kind: str, d: int) -> tuple:
-    """The kept words of the generic scan, as ((word, tr(gen . word)), ...).
-
-    Words come in split-basis order; a word is kept when its generic value is
-    not in the span, over Q(zeta_d)(u), of the values of the words kept
-    before it.
-    """
-    tracer = Tracer(d)
-    span = _Echelon()
-    out = []
-    for word, prod in basis_walk(quotient_generator(kind, d, _N, 1)):
-        value = tracer.trace(prod)
-        if span.insert(_coordinates(value)) is not None:
-            out.append((word, value))
-    return tuple(out)
-
-
-def _coordinates(value: RatFunc) -> dict:
-    """value as a vector over Q(zeta_d)(u): (z, x)-monomial -> coefficient."""
-    if value.den.variables() - {"u"}:
-        raise AssertionError("a generic trace value has z or x in its denominator")
-    parts: dict = {}
-    for mono, c in value.num.terms.items():
-        rest = tuple(t for t in mono if t[0] != "u")
-        parts.setdefault(rest, {})[tuple(t for t in mono if t[0] == "u")] = c
-    return {rest: RatFunc(Poly(terms), value.den) for rest, terms in parts.items()}
-
-
-# One entry per (kind, d) with d <= MAX_MODULUS.
-@functools.lru_cache(maxsize=len(KINDS) * MAX_MODULUS)
-def _kernel_scan(kind: str, d: int) -> tuple:
     """(tops, ((word, generic, form), ...)) for the kept words of the scan.
 
-    form is the numerator of tr(gen . word) in the integer kernel, as
-    ((exps, ((u exponent, c), ...)), ...) with exps = (z exponent, x_1
-    exponent, ...), scaled to int coefficients; the denominator holds only u
-    and is nonzero, so it never decides whether a value vanishes.  tops[i]
-    is the largest exponent of variable i (z, x_1, ...) over every form.
+    generic is tr(gen . word), z and x formal, and form its numerator as
+    {(z exponent, x_1 exponent, ...): {u exponent: int}}; its denominator
+    holds only u, so it changes no span and no zero test.  A word, in
+    split-basis order, is kept when its form adds rank to a _Span.  tops[i]
+    is the top exponent of variable i (z, x_1, ...) over the kept forms.
     """
     names = ("z",) + tuple(f"x{m}" for m in range(1, d))
+    tracer = Tracer(d)
+    span = _Span()
     tops = [0] * d
     kept = []
-    for word, generic in _generic_scan(kind, d):
+    for word, prod in basis_walk(quotient_generator(kind, d, _N, 1)):
+        generic = tracer.trace(prod)
         terms = generic.num.terms
-        if any(type(c) is not Fraction for c in terms.values()):
-            raise AssertionError("a generic trace value has an irrational coefficient")
+        if generic.den.variables() - {"u"} or {type(c) for c in terms.values()} - {Fraction}:
+            raise AssertionError("a generic value is not a polynomial in z, x over Q(u)")
         scale = math.lcm(*(c.denominator for c in terms.values()))
         form: dict = {}
         for mono, c in terms.items():
             exps = dict(mono)
             key = tuple(exps.get(v, 0) for v in names)
-            form.setdefault(key, []).append((exps.get("u", 0),
-                                             c.numerator * (scale // c.denominator)))
-            tops = [max(t, k) for t, k in zip(tops, key)]
-        kept.append((word, generic, tuple((k, tuple(v)) for k, v in form.items())))
+            form.setdefault(key, {})[exps.get("u", 0)] = c.numerator * (scale // c.denominator)
+        if span.insert(form) is not None:
+            kept.append((word, generic, form))
+            tops = [max(t, *(k[i] for k in form)) for i, t in enumerate(tops)]
     return tuple(tops), tuple(kept)
 
 
@@ -271,6 +240,7 @@ class _Specialization:
                 ps.append(_kernel_mul(ps[-1], p, L))
                 qs.append(_kernel_mul(qs[-1], q, L))
             self.tables.append([_kernel_mul(ps[e], qs[top - e], L) for e in range(top + 1)])
+        self.phi = [int(c) for c in cyclotomic_polynomial(L)]  # monic, integral
         self.memo: dict = {}
 
     def _monomial(self, exps: tuple) -> dict:
@@ -283,20 +253,19 @@ class _Specialization:
             self.memo[exps] = out
         return out
 
-    def vanishes(self, form: tuple) -> bool:
+    def vanishes(self, form: dict) -> bool:
         """Does the value of a kernel form vanish at this z and x?"""
         total: dict = {}
-        for exps, coeff in form:
+        for exps, coeff in form.items():
             mono = self._monomial(exps)
-            for e1, c1 in coeff:
+            for e1, c1 in coeff.items():
                 for (e2, k), c2 in mono.items():
                     key = (e1 + e2, k)
                     total[key] = total.get(key, 0) + c1 * c2
         L = self.L
         if L == 1:
             return not any(total.values())
-        phi = [int(c) for c in cyclotomic_polynomial(L)]  # monic, integral
-        deg = len(phi) - 1
+        phi, deg = self.phi, len(self.phi) - 1
         rows: dict = {}
         for (e, k), c in total.items():
             rows.setdefault(e, [0] * L)[k] = c
@@ -316,7 +285,7 @@ def _first_failure(check: QuotientCheck):
     does not vanish, or None."""
     if not _conjugation_certificate(check.d):
         raise AssertionError("trace conjugation certificate failed")
-    tops, kept = _kernel_scan(check.kind, check.d)
+    tops, kept = _generic_scan(check.kind, check.d)
     spec = _Specialization(check, tops)
     for word, generic, form in kept:
         if not spec.vanishes(form):
@@ -394,6 +363,13 @@ def _ytl_admissible(check: QuotientCheck) -> bool:
     return all(level == ft.y[k] for k in ft.support)
 
 
+# One entry per block sizes (|D_1|, |D_2|), |D_1| + |D_2| <= d <= MAX_MODULUS.
+@functools.lru_cache(maxsize=(MAX_MODULUS + 1) * (MAX_MODULUS + 2) // 2)
+def _ftl_z(n1: int, n2: int) -> RatFunc:
+    """The one z that passes FTL with blocks of sizes n1, n2: -1/(n1 + (u+1) n2)."""
+    return RatFunc.const(-1) / (n1 + (U + 1) * n2)
+
+
 def _ftl_admissible(check: QuotientCheck) -> bool:
     d, z = check.d, check.zval
     ft = _transform(check)
@@ -401,12 +377,8 @@ def _ftl_admissible(check: QuotientCheck) -> bool:
     neg_dz_u = neg_dz * (U + 1)
     # the support is never empty (sum_k y_k = d), and the two blocks are
     # disjoint: for z != 0 the two values differ, for z = 0 both are empty
-    d1 = [k for k in ft.support if ft.y[k] == neg_dz]
-    d2 = [k for k in ft.support if ft.y[k] == neg_dz_u]
-    if len(d1) + len(d2) != len(ft.support):
-        return False
-    denom = RatFunc.const(len(d1)) + (U + 1) * RatFunc.const(len(d2))
-    return z == RatFunc.const(-1) / denom
+    n1, n2 = (sum(ft.y[k] == v for k in ft.support) for v in (neg_dz, neg_dz_u))
+    return n1 + n2 == len(ft.support) and z == _ftl_z(n1, n2)
 
 
 def _ctl_admissible(check: QuotientCheck) -> bool:
@@ -425,71 +397,100 @@ def admissible(check: QuotientCheck) -> bool:
 # -- exact elimination ---------------------------------------------------------
 
 
-class _Echelon:
-    """Rows in echelon form over the coefficient field, u formal.
+def _content_free(vec: dict) -> dict:
+    """vec over the gcd of its int coefficients and its lowest power of u."""
+    # per entry first: one long argument tuple per step raised peak RSS ~0.5 MB
+    g = math.gcd(*{math.gcd(*c.values()) for c in vec.values()})
+    low = min(map(min, vec.values()))
+    if g == 1 and not low:
+        return vec
+    return {col: {e - low: v // g for e, v in c.items()} for col, c in vec.items()}
 
-    Vectors are sparse dicts column -> RatFunc with comparable columns.  Each
-    row is stored under its pivot column, where it is 1, and has no earlier
-    column, so one sweep in column order reduces a vector: eliminating a
-    column only brings in later ones.
+
+def _dense(c: dict) -> list[Fraction]:
+    """{u exponent >= 0: int} as its ascending coefficient list."""
+    return [Fraction(c.get(e, 0)) for e in range(max(c) + 1)]
+
+
+def _primitive(vec: dict) -> dict:
+    """vec over the gcd of its entries in Z[u, u^-1]: _content_free, then the
+    gcd in Q[u] of the entries made primitive in Z[u], which by Gauss's lemma
+    leaves int entries of content 1.  A one-term entry makes that gcd 1."""
+    vec = _content_free(vec)
+    if any(len(c) == 1 for c in vec.values()):
+        return vec
+    g = functools.reduce(_uni_gcd, sorted(map(_dense, vec.values()), key=len))
+    if len(g) == 1:
+        return vec
+    scale = math.lcm(*(v.denominator for v in g))
+    g = [v * Fraction(scale, math.gcd(*(int(v * scale) for v in g))) for v in g]
+    return {col: {e: int(v) for e, v in enumerate(_uni_divmod(_dense(c), g)[0]) if v}
+            for col, c in vec.items()}
+
+
+class _Span:
+    """A fraction-free echelon over Z[u, u^-1]; vectors are dicts column ->
+    {u exponent: int} with comparable columns, never changed in place.
+
+    A row is stored under its smallest column, its pivot, and holds no pivot
+    of a row stored before it, so one sweep in column order reduces a vector.
+    A step is vec = p vec - vec[col] row with p = row[col], then
+    _content_free; a stored row is _primitive, which keeps the entries small.
+    Scaling by a nonzero scalar changes no span, so rank and membership are
+    those over Q(u), with no division in Q(u).
     """
 
     def __init__(self):
         self.rows: dict = {}
 
     def reduce(self, vec: dict) -> dict:
-        """vec minus a combination of the rows that leaves no pivot column; in place."""
+        """A multiple of vec minus a combination of the rows, with no pivot column."""
         while True:
             col = min((c for c in vec if c in self.rows), default=None)
             if col is None:
                 return vec
-            factor = vec[col]
-            for c2, v2 in self.rows[col].items():
-                nxt = vec.get(c2, RATFUNC_ZERO) - factor * v2
-                if nxt.is_zero():
-                    vec.pop(c2, None)
-                else:
-                    vec[c2] = nxt
+            row = self.rows[col]
+            p, q = row[col], {e: -v for e, v in vec[col].items()}
+            out = {c: _lmul(v, p) for c, v in vec.items()}
+            for c, v in row.items():  # out[col] cancels to {}
+                _bump(out, c, _lmul(v, q))
+            vec = {c: v for c, v in out.items() if v}
+            if vec:
+                vec = _content_free(vec)
 
     def insert(self, vec: dict):
         """Add vec as a row unless it is in the span; returns the new pivot or None."""
         vec = self.reduce(vec)
         if not vec:
             return None
-        col = min(vec)
-        inv = vec[col] ** -1
-        self.rows[col] = {c: inv * v for c, v in vec.items()}
-        return col
-
-
-def _row(e: AlgebraElement) -> dict:
-    """e as an echelon row: columns are basis words, in split-basis order."""
-    return {w: e.coeff(w) for w in e.terms}
+        self.rows[min(vec)] = _primitive(vec)
+        return min(vec)
 
 
 def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int) -> bool:
     """Is genA in the two-sided ideal span{a genB b : a, b split-basis words}?
 
-    Built by closure: from genB on, each element that adds rank to an echelon
-    over the coefficient field (u formal) is queued, and w r and r w are
-    inserted for each queued r and each generator w among g_1, g_2,
-    t_1..t_3 (the t_j only when d > 1).  The span is then closed under
-    multiplication on both sides by the generators, hence by their words,
-    which span Y_{d,3}(u), the algebra of the ideal criterion.  genA is
-    reduced after every rank increase, so membership exits early.
+    Built by closure in a _Span whose columns are basis words: from genB on,
+    each element's integer Laurent terms are inserted (its den is a nonzero
+    scalar, so no RatFunc is built), each element that adds rank is queued,
+    and w r and r w are inserted for each queued r and each generator w among
+    g_1, g_2, t_1..t_3 (the t_j only when d > 1).  The span is then closed
+    under both-sided multiplication by the generators, whose words span
+    Y_{d,3}(u).  genA is reduced after every rank increase, so membership
+    exits early.
     """
     if genA.d != d or genB.d != d or genA.n != _N or genB.n != _N:
         raise ValueError("generators must live in the stated algebra")
     gens = [gen_g(d, _N, i) for i in range(1, _N)]
     if d > 1:
         gens += [gen_t(d, _N, j) for j in range(1, _N + 1)]
-    span = _Echelon()
-    target = _row(genA)
+    span = _Span()
+    target = genA.terms
     queue: list[AlgebraElement] = []
 
     def insert(e: AlgebraElement) -> bool:
         nonlocal target
-        if span.insert(_row(e)) is not None:
+        if span.insert(e.terms) is not None:
             queue.append(e)
             target = span.reduce(target)
         return not target

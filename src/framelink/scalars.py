@@ -28,10 +28,10 @@ is the one way from that kernel to a ``RatFunc``, built already normalized
 (over a monomial, or over a polynomial that the caller vouches for).
 ``RatFunc`` arithmetic runs where a division happens: lambda_D itself, the
 z and x values that a ``Tracer`` substitutes, the quotient closed forms and
-the one witness value a failing quotient check prints, elimination, parsing
-and ``HalfPowerValue``.  The quotient scan decides its verdicts without it:
-``quotients`` substitutes z and x into integer polynomials in u and zeta_L
-and reduces modulo ``cyclotomic_polynomial(L)``.
+the one witness value a failing quotient check prints, parsing and
+``HalfPowerValue``.  The quotient layer decides without it: its scan reduces
+integer polynomials in u and zeta_L modulo ``cyclotomic_polynomial(L)``,
+and its elimination is fraction-free over Z[u, u^-1].
 
 A normalized ``RatFunc`` with a constant denominator holds the shared
 ``_POLY_ONE``, so products and sums of polynomials skip normalization by an
@@ -618,22 +618,20 @@ def _poly_div_mono(p: Poly, mono: Mono) -> Poly:
     return Poly({_mono_div(m, mono): c for m, c in p.terms.items()})
 
 
-def _uni_poly_gcd(a: Poly, b: Poly, var: str) -> Poly:
-    """Monic gcd of two univariate polynomials in ``var``: Euclid on dense
-    coefficient lists through ``_uni_divmod``."""
-    def dense(p: Poly) -> list[Coeff]:
-        out = [Fraction(0)] * (p.degree_in(var) + 1)
-        for mono, c in p.terms.items():
-            out[mono[0][1] if mono else 0] = c
-        return _uni_trim(out)
+def _uni_gcd(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
+    """Monic gcd of two dense coefficient lists, not both zero, with Fraction
+    or Cyclotomic entries: Euclid through ``_uni_divmod``."""
+    while b:
+        a, b = b, _uni_divmod(a, b)[1]
+    inv = 1 / a[-1]
+    return [c * inv for c in a]
 
-    a_c, b_c = dense(a), dense(b)
-    while b_c:
-        a_c, b_c = b_c, _uni_divmod(a_c, b_c)[1]
-    if not a_c:
-        return _POLY_ZERO
-    inv = 1 / a_c[-1]
-    return Poly({((var, k),) if k else _MONO_ONE: c * inv for k, c in enumerate(a_c)})
+
+def _uni_poly_gcd(a: Poly, b: Poly, var: str) -> Poly:
+    """Monic gcd of two nonzero univariate polynomials in ``var``."""
+    g = _uni_gcd(*([p.terms.get(((var, k),) if k else _MONO_ONE, Fraction(0))
+                    for k in range(p.degree_in(var) + 1)] for p in (a, b)))
+    return Poly({((var, k),) if k else _MONO_ONE: c for k, c in enumerate(g)})
 
 
 # ---------------------------------------------------------------------------

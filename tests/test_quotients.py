@@ -2,6 +2,7 @@
 and the inclusion chain of the three defining ideals."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,24 +13,26 @@ from framelink.algebra import (
     gen_g,
     gen_t,
     idempotent_e,
+    inverse_g,
     quotient_generator,
     split_basis,
+    word_render,
 )
 from framelink.esystem import build_solution, enumerate_solutions, inverse_fourier
 from framelink.quotients import (
     KINDS,
     QuotientCheck,
+    _Span,
     _Specialization,
     _deep_scan,
     _generic_scan,
-    _kernel_scan,
     _scan,
     admissible,
     ideal_inclusion,
     quotient_report,
     trace_vanishes_on_ideal,
 )
-from framelink.scalars import Cyclotomic, RatFunc, U, Z, x_var
+from framelink.scalars import Cyclotomic, Poly, RatFunc, U, Z, _uni_poly_gcd, x_var
 from framelink.trace import Tracer
 
 Z_TL = -(U + 1) ** -1
@@ -340,13 +343,14 @@ def test_witness_pair_is_genuine():
 
 
 def test_scan_keeps_a_basis():
-    sizes = {(kind, d): len(_generic_scan(kind, d))
-             for d, kinds in ((1, ("ytl", "ftl", "ctl")), (2, ("ytl", "ftl", "ctl")),
-                              (3, ("ytl", "ftl")))
-             for kind in kinds}
-    assert sizes == {("ytl", 1): 1, ("ftl", 1): 1, ("ctl", 1): 1,
-                     ("ytl", 2): 4, ("ftl", 2): 2, ("ctl", 2): 1,
-                     ("ytl", 3): 10, ("ftl", 3): 3}
+    kept = {(kind, d): [word_render(*word) for word, _, _ in _generic_scan(kind, d)[1]]
+            for d in (1, 2, 3) for kind in KINDS}
+    assert kept == {
+        ("ytl", 1): ["1"], ("ftl", 1): ["1"], ("ctl", 1): ["1"],
+        ("ytl", 2): ["1", "g2", "t3", "t3*g1"], ("ftl", 2): ["1", "t3"], ("ctl", 2): ["1"],
+        ("ytl", 3): ["1", "g2", "g1*g2", "t3", "t3*g2", "t3*g1", "t3^2", "t3^2*g2",
+                     "t3^2*g1", "t2*t3^2*g1"],
+        ("ftl", 3): ["1", "t3", "t3^2"], ("ctl", 3): ["1"]}
 
 
 def _literal_scan(check):
@@ -451,7 +455,7 @@ def test_kernel_zero_test_matches_substitution():
     rng = random.Random(3200)
     seen = set()
     for check in _kernel_points(rng):
-        tops, kept = _kernel_scan(check.kind, check.d)
+        tops, kept = _generic_scan(check.kind, check.d)
         spec = _Specialization(check, tops)
         subs = check.substitution()
         for _, generic, form in kept:
@@ -551,7 +555,7 @@ def test_chain_strict_at_d2():
 
 
 class _Rows:
-    """Row reduction over Q(u), apart from quotients._Echelon: rows are kept
+    """Row reduction over Q(u), apart from quotients._Span: rows are kept
     in insertion order, each free of the pivots of the rows before it."""
 
     def __init__(self):
@@ -631,6 +635,71 @@ def test_inclusion_matches_the_literal_ideal_d2():
         assert verdict is _literal_inclusion(a, b, 2), (a, b)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_chain_at_d3():
+    g, r, c = (quotient_generator(k, 3, 3, 1) for k in KINDS)
+    assert ideal_inclusion(r, g, 3)
+    assert ideal_inclusion(c, r, 3)
+    assert not ideal_inclusion(g, r, 3)
+
+
+def _laurent(rng):
+    """A nonzero Laurent polynomial in u with a negative power now and then."""
+    return rng.choice((1, -1, 2)) * U ** rng.randint(-2, 1) + rng.randint(-2, 2) * U ** 2
+
+
+def _random_element(rng, d):
+    """A few split-basis words of Y_{d,3}(u) with Laurent coefficients, at
+    times multiplied by an idempotent (den d) or by an inverse generator
+    (negative powers of u)."""
+    words = list(split_basis(d, 3))
+    x = AlgebraElement.zero(d, 3)
+    for _ in range(rng.randint(1, 3)):
+        x = x + AlgebraElement.from_word(d, 3, *rng.choice(words), _laurent(rng))
+    roll = rng.random()
+    if roll < 0.3:
+        x = idempotent_e(d, 3, rng.randint(1, 2)) * x
+    elif roll < 0.6:
+        x = x * inverse_g(d, 3, rng.randint(1, 2))
+    return x
+
+
+def _is_primitive(row):
+    """Int content 1, lowest power of u 0, and no common factor in Q[u]."""
+    coeffs = [v for c in row.values() for v in c.values()]
+    gcd = None
+    for c in row.values():
+        p = sum((Poly.variable("u", e) * v for e, v in c.items()), Poly())
+        gcd = p if gcd is None else _uni_poly_gcd(gcd, p, "u")
+    return (math.gcd(*coeffs) == 1 and min(e for c in row.values() for e in c) == 0
+            and gcd.degree_in("u") == 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_span_matches_the_ratfunc_rows(d):
+    # rank and membership of the fraction-free echelon against _Rows over
+    # Q(u), on seeded elements and combinations of them, which lie in the span
+    rng = random.Random(4300 + d)
+    span, ref = _Span(), _Rows()
+    elems, ranks, members = [], set(), set()
+    for step in range(24):
+        x = _random_element(rng, d)
+        if len(elems) >= 2 and step % 3 == 2:
+            a, b = rng.sample(elems, 2)
+            x = a.scale(_laurent(rng)) + b.scale(_laurent(rng))
+        if step % 2:  # membership only
+            member = not span.reduce(x.terms)
+            assert member is not ref.reduce(_vec(x)), step
+            members.add(member)
+            continue
+        elems.append(x)
+        added = span.insert(x.terms) is not None
+        assert added is ref.insert(_vec(x)), step
+        ranks.add(added)
+        assert len(span.rows) == len(ref.rows)
+        assert all(_is_primitive(row) for row in span.rows.values())
+    assert ranks == members == {True, False}
 
 
 def test_inclusion_rejects_mismatched_algebra():

@@ -370,7 +370,7 @@ def test_coefficients_are_fractions_or_cyclotomics():
             b = random_braid(rng, rng.randint(2, 3), rng.randint(1, 4), "framed", d)
             val = invariant(InvariantRequest(b, "framed", d, D)).value
             values += [val.value, val.base]
-    values += [value for _, value in _generic_scan("ytl", 3)]
+    values += [value for _, value, _ in _generic_scan("ytl", 3)[1]]
     values += [parse_ratfunc(v.render()) for v in values[::4]]
     kinds = {type(c) for f in values for c in _coefficients(f)}
     assert kinds == {Fraction, Cyclotomic}
