@@ -10,9 +10,10 @@ A word is a sequence of letters acting on n strands:
   words only; tau has no inverse).
 
 The textual grammar is whitespace-separated tokens ``s<i>``, ``-s<i>``,
-``t<j>^<k>`` (``t<j>`` means k = 1), ``x<i>``, with an optional leading
-``n=<int>`` header; without a header the strand count defaults to one more
-than the largest index used (minimum 1, so the empty word is the unknot).
+``t<j>^<k>`` (``t<j>`` means k = 1), ``x<i>``, indices from 1 with no
+leading zero, with an optional leading ``n=<int>`` header; without a header
+the strand count defaults to one more than the largest index used (minimum
+1, so the empty word is the unknot).
 """
 from __future__ import annotations
 
@@ -168,7 +169,8 @@ class BraidWord:
 
 
 _TOKEN = re.compile(
-    r"^(?:(?P<header>n=(?P<n>\d+))|(?P<neg>-)?s(?P<si>\d+)|t(?P<tj>\d+)(?:\^(?P<tk>-?\d+))?|x(?P<xi>\d+))$")
+    r"^(?:(?P<header>n=(?P<n>\d+))|(?P<neg>-)?s(?P<si>[1-9]\d*)"
+    r"|t(?P<tj>[1-9]\d*)(?:\^(?P<tk>-?\d+))?|x(?P<xi>[1-9]\d*))$")
 
 
 def parse_braid(text: str) -> BraidWord:

@@ -23,9 +23,11 @@ request are built once per process: the per-d constants of the letter rules
 (``algebra``), the solution of each (d, D) (``esystem.build_solution``),
 lambda_D and the powers L^k of L = |D| z + 1 - u.
 
-The value at formal z is written straight from the trace polynomial, with
-no RatFunc product.  With h = eps - (n-1), half = h mod 2, f = (h - half)/2,
-m = |D| and T the trace as a Laurent polynomial in z and u:
+The value at formal z is written straight from the kernel value (den, T)
+that ``Tracer.trace`` gives, with no RatFunc built before the last step,
+where den is divided in.  With h = eps - (n-1), half = h mod 2,
+f = (h - half)/2, m = |D| and T the trace times den, a Laurent polynomial
+in z and u:
 
 * f >= 0: the value is the Laurent polynomial L^f T / (m^f u^f z^(f+n-1)),
   written over the monic monomial u^a z^b that clears its negative
@@ -117,27 +119,6 @@ def _add(out: dict, key, v) -> None:
         out.pop(key, None)
 
 
-def _trace_terms(t: RatFunc) -> tuple[int, dict]:
-    """(den, T) with t = sum_T c z^j u^e / den for T = {(j, e): c}: t is a
-    Laurent polynomial over a power of u, and a rational c is an int."""
-    (mono,) = t.den.terms
-    if mono[1:] or mono and mono[0][0] != "u":
-        raise AssertionError("a trace value has z in its denominator")
-    shift = mono[0][1] if mono else 0
-    den = math.lcm(*(c.denominator for c in t.num.terms.values() if type(c) is Fraction))
-    out = {}
-    for mono, c in t.num.terms.items():
-        j = e = 0
-        for v, x in mono:  # t holds u and z alone
-            if v == "z":
-                j = x
-            else:
-                e = x
-        out[(j, e - shift)] = (c.numerator * (den // c.denominator)
-                               if type(c) is Fraction else c * den)
-    return den, out
-
-
 def _divided_by_l(S: dict, sizeD: int, k: int) -> dict | None:
     """S / L^k for a polynomial S = {(j, (), e): c}, by k synthetic
     divisions in z; None if L^k does not divide S, at once when S has
@@ -187,26 +168,26 @@ class InvariantRequest:
             raise ValueError(f"lambda exponent {k} exceeds the budget of "
                              f"{MAX_LAMBDA_EXPONENT}")
 
-    def _finish(self, t: RatFunc, size: int) -> HalfPowerValue:
-        """The value from the trace t at formal z: z^-(n-1) lambda_D^(h/2) t,
-        written in its normal form (see the module docstring)."""
+    def _finish(self, den: int, T: dict, size: int) -> HalfPowerValue:
+        """The value from the trace T / den at formal z, T = {(z exponent, (),
+        u exponent): c} as ``Tracer.trace`` gives it: z^-(n-1) lambda_D^(h/2)
+        T / den, written in its normal form (see the module docstring)."""
         n, m = self.braid.n, size
         h = self.braid.epsilon() - (n - 1)
         half = h % 2
         f = (h - half) // 2
         base = lambda_d(m, m)
-        if t.is_zero():
+        if not T:
             return HalfPowerValue(RATFUNC_ZERO, half, base)
-        den, T = _trace_terms(t)
         if f >= 0:  # L^f T / (m^f u^f z^(f+n-1))
             out: dict = {}
             for (lz, _, lu), c in _l_power(m, f).items():
-                for (tz, tu), v in T.items():
+                for (tz, _, tu), v in T.items():
                     _add(out, (lz + tz - f - n + 1, (), lu + tu - f), c * v)
             return HalfPowerValue(laurent_ratfunc(out, den * m ** f), half, base)
         k = -f  # S / L^k with S = m^k u^k z^(k-n+1) T
         mk, dz = m ** k, k - n + 1
-        S = {(tz + dz, (), tu + k): v * mk for (tz, tu), v in T.items()}
+        S = {(tz + dz, (), tu + k): v * mk for (tz, _, tu), v in T.items()}
         if all(sz >= 0 and su >= 0 for sz, _, su in S):
             quot = _divided_by_l(S, m, k)
             if quot is not None:
@@ -222,14 +203,13 @@ class InvariantRequest:
 class _JonesPoint(InvariantRequest):
     """A request valued at z0 = -1/((u+1)|D|), where lambda_D(z0) = u."""
 
-    def _finish(self, t: RatFunc, size: int) -> HalfPowerValue:
-        """u^(h/2) sum_j c_j w^(n-1-j) for t = sum_j c_j z^j and
-        w = 1/z0 = -(u+1)|D|, by Horner from c_0 up (see the module
+    def _finish(self, den: int, T: dict, size: int) -> HalfPowerValue:
+        """u^(h/2) sum_j c_j w^(n-1-j) for the trace T / den = sum_j c_j z^j
+        and w = 1/z0 = -(u+1)|D|, by Horner from c_0 up (see the module
         docstring)."""
         n = self.braid.n
-        den, T = _trace_terms(t)
         coeffs: list[dict] = [{} for _ in range(n)]
-        for (tz, tu), c in T.items():
+        for (tz, _, tu), c in T.items():
             coeffs[tz][(0, (), tu)] = c
         acc: dict = {}
         for c in coeffs:  # acc = acc w + c, w = -size - size u
@@ -281,8 +261,8 @@ def invariant(req: InvariantRequest) -> InvariantValue:
     # without framing letters the value sees D only through |D|, so the word
     # is traced in Y_{|D|,n} at D' = Z/|D|Z (see the module docstring)
     at = sol if req.braid.kind == "framed" else build_solution(size, range(size))
-    t = Tracer(at.d, at.x[1:]).trace(map_to_algebra(req.braid, at.d))
-    return InvariantValue(req._finish(t, size), req.family, req.d, sol.D,
+    den, T = Tracer(at.d, at.x[1:]).trace(map_to_algebra(req.braid, at.d))
+    return InvariantValue(req._finish(den, T, size), req.family, req.d, sol.D,
                           req.braid.n, req.braid.epsilon())
 
 

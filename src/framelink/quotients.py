@@ -37,21 +37,23 @@ each verified rather than assumed, and by walking the basis:
 * with that, tr(a gen b) = tr(gen (b a)), and b a expands over the basis,
   so vanishing on all pairs is equivalent to tr(gen c) = 0 for every basis
   word c.  A failing word c yields the witness pair (1, c);
-* only a basis of those generic values is substituted: a generic value is a
-  vector over Q(u), one coordinate per (z, x) monomial, and substituting z
-  and x is linear over Q(u).  The words are taken in split-basis order and a
-  word is kept when its value is not in the span of those kept before it;
-  the first word whose value does not vanish is always kept, so the kept
-  words give the verdict and the witness of all d^3 3! words.  That keeps 1
-  word at d = 1, 4 / 2 / 1 (YTL / FTL / CTL) of 48 at d = 2 and 10 / 3 / 1
-  of 162 at d = 3;
+* only a basis of those generic values is substituted: a generic value,
+  the kernel value (den, T) that ``Tracer.trace`` gives at formal z and x,
+  is a vector over Q(u), one coordinate per (z, x) monomial, and
+  substituting z and x is linear over Q(u).  The words are taken in
+  split-basis order and a word is kept when its value is not in the span
+  of those kept before it; the first word whose value does not vanish is
+  always kept, so the kept words give the verdict and the witness of all
+  d^3 3! words.  That keeps 1 word at d = 1, 4 / 2 / 1 (YTL / FTL / CTL)
+  of 48 at d = 2 and 10 / 3 / 1 of 162 at d = 3;
 * the products gen c come from algebra.basis_walk, each an earlier one times
   one generator, so terms cancel at every step; it keeps split_basis order,
   so the kept words and witnesses are those of the direct products.
 
 Spans are decided by one fraction-free echelon over Z[u, u^-1] (_Span):
-entries stay integer Laurent polynomials, a row is made primitive when it
-is stored, and no RatFunc is built.  A check's z and x, values in
+entries stay integer Laurent polynomials, read straight off T, a row is
+made primitive when it is stored, and a RatFunc is built only for a kept
+word, whose value may be a witness.  A check's z and x, values in
 Q(zeta_L)(u) with L the lcm of their conductors, are split as P / Q over
 Z[u, w], w = zeta_L, so a kept value times the Q^top of its variables is
 N = sum c(u) prod P^e Q^(top-e), and it vanishes exactly when every
@@ -89,6 +91,7 @@ from .scalars import (
     _uni_divmod,
     _uni_gcd,
     cyclotomic_polynomial,
+    laurent_ratfunc,
 )
 from .trace import Tracer
 
@@ -130,6 +133,13 @@ class QuotientCheck:
         return out
 
 
+def _same_trace(a: tuple[int, dict], b: tuple[int, dict]) -> bool:
+    """Are two kernel values (den, T) of ``Tracer.trace`` equal?  Each T is
+    compared times the other's den; neither holds a zero coefficient."""
+    (da, ta), (db, tb) = a, b
+    return ta.keys() == tb.keys() and all(c * db == tb[k] * da for k, c in ta.items())
+
+
 # One entry per d <= MAX_MODULUS, the cap on every d.
 @functools.lru_cache(maxsize=MAX_MODULUS)
 def _conjugation_certificate(d: int) -> bool:
@@ -144,7 +154,7 @@ def _conjugation_certificate(d: int) -> bool:
         c = AlgebraElement.from_word(d, _N, frm, perm)
         for letter, w in gens:
             cw = AlgebraElement(d, _N, *_times_letter(c.terms, c.den, d, letter))
-            if tracer.trace(cw) != tracer.trace(w * c):
+            if not _same_trace(tracer.trace(cw), tracer.trace(w * c)):
                 return False
     return True
 
@@ -154,30 +164,26 @@ def _conjugation_certificate(d: int) -> bool:
 def _generic_scan(kind: str, d: int) -> tuple:
     """(tops, ((word, generic, form), ...)) for the kept words of the scan.
 
-    generic is tr(gen . word), z and x formal, and form its numerator as
-    {(z exponent, x_1 exponent, ...): {u exponent: int}}; its denominator
-    holds only u, so it changes no span and no zero test.  A word, in
-    split-basis order, is kept when its form adds rank to a _Span.  tops[i]
+    The kernel value (den, T) of tr(gen . word), z and x formal, gives form
+    = T as {(z exponent, x_1 exponent, ...): {u exponent: int}}; den is a
+    nonzero int, so it changes no span and no zero test.  A word, in
+    split-basis order, is kept when its form adds rank to a _Span, and only
+    then is generic, its value as a RatFunc, built for the witness.  tops[i]
     is the top exponent of variable i (z, x_1, ...) over the kept forms.
     """
-    names = ("z",) + tuple(f"x{m}" for m in range(1, d))
     tracer = Tracer(d)
     span = _Span()
     tops = [0] * d
     kept = []
     for word, prod in basis_walk(quotient_generator(kind, d, _N, 1)):
-        generic = tracer.trace(prod)
-        terms = generic.num.terms
-        if generic.den.variables() - {"u"} or {type(c) for c in terms.values()} - {Fraction}:
+        den, terms = tracer.trace(prod)
+        if {type(c) for c in terms.values()} - {int}:
             raise AssertionError("a generic value is not a polynomial in z, x over Q(u)")
-        scale = math.lcm(*(c.denominator for c in terms.values()))
         form: dict = {}
-        for mono, c in terms.items():
-            exps = dict(mono)
-            key = tuple(exps.get(v, 0) for v in names)
-            form.setdefault(key, {})[exps.get("u", 0)] = c.numerator * (scale // c.denominator)
+        for (j, ks, e), c in terms.items():
+            form.setdefault((j, *ks), {})[e] = c
         if span.insert(form) is not None:
-            kept.append((word, generic, form))
+            kept.append((word, laurent_ratfunc(terms, den), form))
             tops = [max(t, *(k[i] for k in form)) for i, t in enumerate(tops)]
     return tuple(tops), tuple(kept)
 
@@ -309,13 +315,13 @@ def trace_vanishes_on_ideal(check: QuotientCheck) -> bool:
 
 
 def _deep_scan(check: QuotientCheck):
-    """Literal double loop, the reference for _scan (a passing FTL point takes
-    ~3.5 s at d = 2, 2 vCPU); returns a witness (a, b, value) or None."""
+    """Literal double loop, the reference for _scan (a passing point takes
+    0.4-1 s at d = 2, 2 vCPU); returns a witness (a, b, value) or None."""
     gen = quotient_generator(check.kind, check.d, _N, 1)
     tracer = Tracer(check.d, check.xs, check.zval)
     for wa in split_basis(check.d, _N):
         for wb, prod in basis_walk(AlgebraElement.from_word(check.d, _N, *wa) * gen):
-            val = tracer.trace(prod)
+            val = tracer.value(prod)
             if not val.is_zero():
                 return wa, wb, val
     return None

@@ -24,11 +24,13 @@ with int, Fraction or Cyclotomic coefficients, memoized per word.  When
 every x is a number (an int, Fraction or Cyclotomic is taken as it is, a
 constant RatFunc is read off) it multiplies in and the key holds no x
 exponents; otherwise x stays formal and adds to its exponent in the key.
-z stays formal.  ``Tracer.trace`` sums c_w tr(w) in the kernel, divides by
-the denominators once and builds one RatFunc; a given z, and x values that
-are not all numbers, are substituted into that one result.  One call may
-make at most MAX_TRACE_PRODUCTS coefficient products, each weighted by its
-cost in int products, and is refused with a ValueError past them.
+z stays formal.  ``Tracer.trace`` sums c_w tr(w) in the kernel and returns
+that value over its denominator, which the invariants and the quotient
+scans read as it is; ``Tracer.value`` alone builds its RatFunc and
+substitutes a given z, and x values that are not all numbers, into it.  One
+``trace`` call may make at most MAX_TRACE_PRODUCTS coefficient products,
+each weighted by its cost in int products, and is refused with a
+ValueError past them.
 """
 from __future__ import annotations
 
@@ -171,10 +173,17 @@ class Tracer:
                         del out[key]
         return top, out
 
-    def trace(self, e: AlgebraElement) -> RatFunc:
+    def trace(self, e: AlgebraElement) -> tuple[int, dict]:
+        """(den, T) with tr(e) = T / den and T = {(z exponent, x exponents,
+        u exponent): c != 0}: z formal, and x unless all are numbers."""
         if e.d != self.d:
             raise ValueError(f"element has d={e.d}, the trace has d={self.d}")
         self._work = 0
         top, value = self._sum(((c, f, p) for (f, p), c in e.terms.items()), 0)
-        out = laurent_ratfunc(value, top * e.den)
+        return top * e.den, value
+
+    def value(self, e: AlgebraElement) -> RatFunc:
+        """tr(e) as a RatFunc, with the given z and x substituted."""
+        den, terms = self.trace(e)
+        out = laurent_ratfunc(terms, den)
         return out.substitute(self._subs) if self._subs else out

@@ -112,22 +112,22 @@ def test_criterion_02_trace_rules():
             rng = random.Random(1000 * d + n)
             for _ in range(200):
                 a = random_element(rng, d, n)
-                ta = tracer.trace(a)
+                ta = tracer.value(a)
                 up = a.embed(n + 1)
-                if tracer.trace(up * gen_g(d, n + 1, n)) != Z * ta:
+                if tracer.value(up * gen_g(d, n + 1, n)) != Z * ta:
                     failures.append(f"rule2 d={d} n={n}")
                 m = rng.randrange(d)
-                if tracer.trace(up * gen_t(d, n + 1, n + 1, m)) != xs[m] * ta:
+                if tracer.value(up * gen_t(d, n + 1, n + 1, m)) != xs[m] * ta:
                     failures.append(f"rule3 d={d} n={n} m={m}")
                 i = rng.randint(1, n - 1)
-                if tracer.trace(gen_g(d, n, i) * a * inverse_g(d, n, i)) != ta:
+                if tracer.value(gen_g(d, n, i) * a * inverse_g(d, n, i)) != ta:
                     failures.append(f"rule1 d={d} n={n} i={i}")
     # d=1 recursion against the brute-force expansion oracle on H_3 products
     tracer1 = Tracer(1)
     frm = (0, 0, 0)
     for p in oracle.left_words(3):
         for q in oracle.left_words(3):
-            mine = tracer1.trace(AlgebraElement.from_word(1, 3, frm, p)
+            mine = tracer1.value(AlgebraElement.from_word(1, 3, frm, p)
                                  * AlgebraElement.from_word(1, 3, frm, q))
             ref = oracle.trace(oracle.product(oracle.basis_elem(p),
                                               oracle.basis_elem(q), 3), 3)
@@ -149,7 +149,7 @@ def test_criterion_03_esystem():
         for sol in enumerate_solutions(d):
             tracer = Tracer(d, sol.x[1:])
             want = RatFunc.const(e_d_value(sol))
-            if tracer.trace(idempotent_e(d, 2, 1)) != want:
+            if tracer.value(idempotent_e(d, 2, 1)) != want:
                 failures.append(f"tr_D(e_1) d={d} D={sol.D}")
     # specialized traces absorb a top-strand idempotent as the factor E_D
     for d in (2, 3):
@@ -160,8 +160,8 @@ def test_criterion_03_esystem():
             for n in (2, 3):
                 for _ in range(5):
                     a = random_element(rng, d, n)
-                    lhs = tracer.trace(a.embed(n + 1) * idempotent_e(d, n + 1, n))
-                    if lhs != e_val * tracer.trace(a):
+                    lhs = tracer.value(a.embed(n + 1) * idempotent_e(d, n + 1, n))
+                    if lhs != e_val * tracer.value(a):
                         failures.append(f"E-condition d={d} D={sol.D} n={n}")
     report(3, "E-system solutions and E-condition", failures)
 

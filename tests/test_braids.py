@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -51,8 +52,9 @@ def test_header_must_lead():
 
 
 def test_reject_garbage():
-    for bad in ("q1", "s0", "t0", "s1x2", "t1^", "x0"):
-        with pytest.raises(ValueError):
+    # indices count from 1: an index 0 is a bad token like any other
+    for bad in ("q1", "s0", "-s0", "t0", "t0^2", "s01", "s1x2", "t1^", "x0"):
+        with pytest.raises(ValueError, match=f"^bad braid token '{re.escape(bad)}'$"):
             parse_braid(bad)
 
 

@@ -345,6 +345,10 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "invariant", "--family", "classical",
                        "--d", "1", "--braid", "q9")
     assert code == 2 and "q9" in err
+    # an index 0 is a bad token like any other, not an internal letter tuple
+    for token in ("s0", "-s0", "t0^2", "x0"):
+        code, out, err = run(capsys, "jones", f"--braid={token}")
+        assert (code, out, err) == (2, "", f"error: bad braid token {token!r}\n")
     code, _, err = run(capsys, "invariant", "--family", "classical",
                        "--d", "1", "--subset", "", "--braid", "s1")
     assert code == 2

@@ -97,7 +97,7 @@ def test_e_d_value():
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
 def test_trace_of_idempotent_specializes_to_e_d(d):
     for sol in enumerate_solutions(d):
-        val = Tracer(d, sol.x[1:]).trace(idempotent_e(d, 2, 1))
+        val = Tracer(d, sol.x[1:]).value(idempotent_e(d, 2, 1))
         assert val == RatFunc.const(e_d_value(sol))
 
 
@@ -111,5 +111,5 @@ def test_e_condition_factoring(d):
         for n in (2, 3):
             for _ in range(3):
                 alpha = random_element(rng, d, n)
-                lhs = tracer.trace(alpha.embed(n + 1) * idempotent_e(d, n + 1, n))
-                assert lhs == ed * tracer.trace(alpha)
+                lhs = tracer.value(alpha.embed(n + 1) * idempotent_e(d, n + 1, n))
+                assert lhs == ed * tracer.value(alpha)

@@ -202,7 +202,7 @@ def test_json_shape():
 def _direct_value(b, d, D) -> HalfPowerValue:
     """z^-(n-1) lambda_D^((eps-n+1)/2) tr_D(image) in Y_{d,n} itself."""
     sol = build_solution(d, D)
-    t = Tracer(d, sol.x[1:]).trace(map_to_algebra(b, d))
+    t = Tracer(d, sol.x[1:]).value(map_to_algebra(b, d))
     n = b.n
     return HalfPowerValue(t * Z ** (-(n - 1)), b.epsilon() - (n - 1),
                           lambda_d(d, len(sol.D)))
@@ -341,7 +341,7 @@ def test_kernel_finish_matches_the_ratfunc_route():
                     sol = build_solution(d, D)
                     m = sol.size()
                     at = sol if b.kind == "framed" else build_solution(m, range(m))
-                    t = Tracer(at.d, at.x[1:]).trace(map_to_algebra(b, at.d))
+                    t = Tracer(at.d, at.x[1:]).value(map_to_algebra(b, at.d))
                     h = b.epsilon() - (n - 1)
                     want = HalfPowerValue(Z ** -(n - 1), h, lambda_d(m, m)).scale(t)
                     where = (d, D, b.render())
@@ -419,7 +419,7 @@ def test_jones_values_match_the_substitution_route():
                     if not framed:
                         _assert_same_jones(jones(b), b, "classical", 1, (0,))
                     h = b.epsilon() - (n - 1)
-                    t = Tracer(d, build_solution(d, D).x[1:]).trace(map_to_algebra(b, d))
+                    t = Tracer(d, build_solution(d, D).x[1:]).value(map_to_algebra(b, d))
                     seen |= {("h", h % 2), ("f", (h // 2 > 0) - (h // 2 < 0)),
                              ("z", n, t.num.degree_in("z"))}
     assert {("h", 0), ("h", 1), ("f", -1), ("f", 1)} <= seen

@@ -26,6 +26,7 @@ from framelink.quotients import (
     _Specialization,
     _deep_scan,
     _generic_scan,
+    _same_trace,
     _scan,
     admissible,
     ideal_inclusion,
@@ -34,6 +35,7 @@ from framelink.quotients import (
 )
 from framelink.scalars import Cyclotomic, Poly, RatFunc, U, Z, _uni_poly_gcd, x_var
 from framelink.trace import Tracer
+from helpers import random_element
 
 Z_TL = -(U + 1) ** -1
 HALF = Fraction(1, 2)
@@ -257,8 +259,8 @@ def _ctl_by_traced_sums(check):
     for k in range(d):
         ek = gen_t(d, 3, 1, k) * e1
         sum_x = sum_x + xs[k]
-        sum_e = sum_e + tracer.trace(ek)
-        sum_ee = sum_ee + tracer.trace(ek * e2)
+        sum_e = sum_e + tracer.value(ek)
+        sum_ee = sum_ee + tracer.value(ek * e2)
     return ((U + 1) * z * z * sum_x + (U + 2) * z * sum_e + sum_ee).is_zero()
 
 
@@ -297,7 +299,9 @@ def test_ctl_closed_form_matches_the_traced_sums(d):
     QuotientCheck("ytl", 1, 5),
     QuotientCheck("ytl", 2, -1, (5,)),
     QuotientCheck("ftl", 2, -HALF, (0,)),
-], ids=["ytl1-pass", "ytl1-fail", "ytl2-fail", "ftl2-pass"])
+    QuotientCheck("ytl", 2, -HALF, (0,)),
+    QuotientCheck("ctl", 2, -HALF, (0,)),
+], ids=["ytl1-pass", "ytl1-fail", "ytl2-fail", "ftl2-pass", "ytl2-pass", "ctl2-pass"])
 def test_deep_loop_agrees(check):
     assert (_deep_scan(check) is None) == trace_vanishes_on_ideal(check)
 
@@ -320,7 +324,7 @@ def test_deep_pairs_spot_check_d3():
         frm_b, perm_b = rng.choice(words)
         a = AlgebraElement.from_word(3, 3, frm_a, perm_a)
         b = AlgebraElement.from_word(3, 3, frm_b, perm_b)
-        assert tracer.trace(a * gen * b).is_zero()
+        assert tracer.value(a * gen * b).is_zero()
 
 
 def test_witness_pair_is_genuine():
@@ -336,7 +340,31 @@ def test_witness_pair_is_genuine():
     tracer = Tracer(2, check.xs, check.zval)
     a = AlgebraElement.from_word(2, 3, frm_a, perm_a)
     b = AlgebraElement.from_word(2, 3, frm_b, perm_b)
-    assert not tracer.trace(a * gen * b).is_zero()
+    assert not tracer.value(a * gen * b).is_zero()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
+def test_certificate_comparison_is_ratfunc_equality(d):
+    # the certificate compares kernel values times each other's den; that
+    # must be RatFunc equality of the values, on equal pairs (c w, w c),
+    # on unequal pairs, and on equal values whose dens differ
+    rng = random.Random(2300 + d)
+    tracer = Tracer(d)
+    words = list(split_basis(d, 3))
+    gens = [gen_g(d, 3, 1), gen_g(d, 3, 2)] + ([gen_t(d, 3, 1)] if d > 1 else [])
+    seen = set()
+    for _ in range(10):
+        c = AlgebraElement.from_word(d, 3, *rng.choice(words))
+        w = rng.choice(gens)
+        a, b = random_element(rng, d, 3, 3), random_element(rng, d, 3, 3)
+        k = rng.randint(2, 7)
+        for x, y in ((c * w, w * c), (a, b), (c * w, c), (a, a.scale(2)),
+                     (a, a.scale(Fraction(1, k)).scale(k)), (a, a.scale(Fraction(1, k)))):
+            kx, ky = tracer.trace(x), tracer.trace(y)
+            same = tracer.value(x) == tracer.value(y)
+            assert _same_trace(kx, ky) is same
+            seen.add((same, kx[0] == ky[0]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- the scan substitutes only a basis of the generic values -----------------
@@ -360,7 +388,7 @@ def _literal_scan(check):
     tracer = Tracer(check.d, check.xs, check.zval)
     unit_word = ((0,) * 3, (1, 2, 3))
     for frm, perm in split_basis(check.d, 3):
-        val = tracer.trace(gen * AlgebraElement.from_word(check.d, 3, frm, perm))
+        val = tracer.value(gen * AlgebraElement.from_word(check.d, 3, frm, perm))
         if not val.is_zero():
             return unit_word, (frm, perm), val
     return None
@@ -408,7 +436,7 @@ def _seeded_points(rng, kind, d):
 def test_basis_scan_matches_the_literal_scan(d, kinds):
     # the reduced scan gives the verdict and the witness of the unreduced one;
     # _deep_scan also checks each verdict except a passing one at d = 2, which
-    # takes ~3.5 s each there (test_deep_loop_agrees runs one)
+    # takes 0.4-1 s each there (test_deep_loop_agrees runs one per kind)
     rng = random.Random(3100 + d)
     for kind in kinds:
         verdicts = set()

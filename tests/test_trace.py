@@ -20,7 +20,16 @@ from framelink.algebra import (
 )
 from framelink.braids import parse_braid
 from framelink.esystem import build_solution
-from framelink.scalars import Fraction, RatFunc, RATFUNC_ONE, U, Z, x_var
+from framelink.scalars import (
+    RATFUNC_ONE,
+    Cyclotomic,
+    Fraction,
+    RatFunc,
+    U,
+    Z,
+    laurent_ratfunc,
+    x_var,
+)
 from framelink.trace import Tracer, _strip
 from helpers import random_braid, random_element
 
@@ -28,7 +37,7 @@ DS = (1, 2, 3)
 
 
 def generic_trace(e):
-    return Tracer(e.d).trace(e)
+    return Tracer(e.d).value(e)
 
 
 # -- base values ------------------------------------------------------------
@@ -60,7 +69,7 @@ def test_trace_of_idempotent_generic():
 
 def test_d1_triple_word():
     e = map_to_algebra(parse_braid("s1 s2 s1"), 1)
-    assert Tracer(1).trace(e) == (U - 1) * Z * Z + U * Z
+    assert Tracer(1).value(e) == (U - 1) * Z * Z + U * Z
 
 
 def test_two_strand_framed_word():
@@ -132,12 +141,12 @@ def test_derived_bridge_rule(d, n):
 def test_basis_trace_values_match_oracle():
     for p in perms.all_perms(3):
         e = AlgebraElement.from_word(1, 3, (0, 0, 0), p)
-        assert Tracer(1).trace(e) == oracle.trace(oracle.basis_elem(p), 3)
+        assert Tracer(1).value(e) == oracle.trace(oracle.basis_elem(p), 3)
 
 
 def test_all_h3_products_match_oracle():
     for p, q in itertools.product(perms.all_perms(3), repeat=2):
-        engine = Tracer(1).trace(
+        engine = Tracer(1).value(
             AlgebraElement.from_word(1, 3, (0, 0, 0), p)
             * AlgebraElement.from_word(1, 3, (0, 0, 0), q))
         ref = oracle.trace(oracle.product(oracle.basis_elem(p), oracle.basis_elem(q), 3), 3)
@@ -149,7 +158,7 @@ def test_random_h3_elements_match_oracle():
     for _ in range(10):
         a = random_element(rng, 1, 3, nwords=3)
         ref = oracle.trace({w[1]: a.coeff(w) for w in a.terms}, 3)
-        assert Tracer(1).trace(a) == ref
+        assert Tracer(1).value(a) == ref
 
 
 # -- specialization ----------------------------------------------------------
@@ -157,9 +166,9 @@ def test_random_h3_elements_match_oracle():
 
 def test_specialized_idempotent_values():
     # d=2: D={0} gives x_1 = 1, D={0,1} gives x_1 = 0
-    one = Tracer(2, (1,)).trace(idempotent_e(2, 2, 1))
+    one = Tracer(2, (1,)).value(idempotent_e(2, 2, 1))
     assert one == RATFUNC_ONE
-    half = Tracer(2, (0,)).trace(idempotent_e(2, 2, 1))
+    half = Tracer(2, (0,)).value(idempotent_e(2, 2, 1))
     assert half == RatFunc.const(Fraction(1, 2))
 
 
@@ -172,7 +181,7 @@ def test_generic_trace_does_not_factor():
 
 def test_tracer_with_substituted_z():
     t = Tracer(2, z=-1)
-    assert t.trace(gen_g(2, 2, 1)) == RatFunc.const(-1)
+    assert t.value(gen_g(2, 2, 1)) == RatFunc.const(-1)
 
 
 def test_parameter_validation():
@@ -189,9 +198,9 @@ def test_parameter_validation():
 def test_specialized_x_values_reduce_mod_d():
     # x_0 = 1 and x_1 = 0; the exponent 3 of t_1^3 reduces to 1 mod 2
     t = Tracer(2, (0,))
-    assert t.trace(gen_t(2, 1, 1, 0)) == RATFUNC_ONE
-    assert t.trace(gen_t(2, 1, 1, 1)) == RatFunc.const(0)
-    assert t.trace(gen_t(2, 1, 1, 3)) == RatFunc.const(0)
+    assert t.value(gen_t(2, 1, 1, 0)) == RATFUNC_ONE
+    assert t.value(gen_t(2, 1, 1, 1)) == RatFunc.const(0)
+    assert t.value(gen_t(2, 1, 1, 3)) == RatFunc.const(0)
 
 
 def test_numeric_x_are_taken_as_they_are():
@@ -199,9 +208,44 @@ def test_numeric_x_are_taken_as_they_are():
     # constant RatFunc
     e = map_to_algebra(parse_braid("t1 s1 -s2 t3^2 s1 t2"), 3)
     for xs in ((0, Fraction(1, 2)), (Fraction(3), -2), build_solution(3, (0, 1)).x[1:]):
-        want = Tracer(3, [RatFunc.const(v) for v in xs]).trace(e)
-        got = Tracer(3, xs).trace(e)
+        want = Tracer(3, [RatFunc.const(v) for v in xs]).value(e)
+        got = Tracer(3, xs).value(e)
         assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+
+
+@pytest.mark.parametrize("d", DS)
+def test_value_is_the_ratfunc_of_the_kernel_value(d):
+    # trace gives the kernel value (den, T) with z formal, and x formal
+    # unless all are numbers; value builds its RatFunc and substitutes the
+    # Tracer's z and its x that are not numbers
+    rng = random.Random(2210 + d)
+    xs_cases = [None, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                            for _ in range(d - 1))]
+    if d == 3:
+        xs_cases.append(tuple(build_solution(3, (0, 1)).x[1:]))
+    if d > 1:
+        xs_cases.append(tuple((U + rng.randint(1, 4)) / rng.randint(2, 5) for _ in range(d - 1)))
+    types = set()
+    for xs in xs_cases:
+        numeric = xs is not None and not any(type(v) is RatFunc for v in xs)
+        for z in (None, Fraction(-1, 2), -(U + 1) ** -1):
+            tracer = Tracer(d, xs, z)
+            subs = {} if z is None else {"z": RatFunc.const(z)}
+            if xs is not None and not numeric:
+                subs.update((f"x{m}", v) for m, v in enumerate(xs, start=1))
+            elements = [random_element(rng, d, n, 3) for n in (1, 2, 3)]
+            elements += [map_to_algebra(random_braid(rng, n, 4, "framed", d), d)
+                         for n in (2, 3)]
+            for e in elements:
+                den, terms = tracer.trace(e)
+                assert type(den) is int and den > 0
+                assert all(c != 0 for c in terms.values())
+                assert all(len(ks) == (0 if numeric else d - 1) for _, ks, _ in terms)
+                want = laurent_ratfunc(terms, den)
+                assert tracer.value(e) == (want.substitute(subs) if subs else want)
+                types |= {type(c) for c in terms.values()}
+    assert types == ({int, Fraction, Cyclotomic} if d == 3 else
+                     {int, Fraction} if d == 2 else {int})
 
 
 def test_trace_product_budget(monkeypatch):
@@ -269,10 +313,10 @@ def test_trace_matches_the_linear_system_oracle(d, D):
     at_u = {"u": RatFunc.const(yok.U_VAL)}
     tracer = Tracer(d, build_solution(d, D).x[1:], yok.Z_VAL)
     for word, want in table.items():
-        got = tracer.trace(AlgebraElement.from_word(d, 3, *word)).substitute(at_u)
+        got = tracer.value(AlgebraElement.from_word(d, 3, *word)).substitute(at_u)
         assert got == want, word
     rng = random.Random(1603 + 10 * d + len(D))
     for kind in ("classical", "framed", "singular"):
         b = random_braid(rng, 3, 5, kind, d)
         want = sum((c * table[w] for w, c in yok.image(d, b.letters).items()), Fraction(0))
-        assert tracer.trace(map_to_algebra(b, d)).substitute(at_u) == want, b.render()
+        assert tracer.value(map_to_algebra(b, d)).substitute(at_u) == want, b.render()
