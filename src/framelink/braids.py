@@ -10,10 +10,11 @@ A word is a sequence of letters acting on n strands:
   words only; tau has no inverse).
 
 The textual grammar is whitespace-separated tokens ``s<i>``, ``-s<i>``,
-``t<j>^<k>`` (``t<j>`` means k = 1), ``x<i>``, indices from 1 with no
-leading zero, with an optional leading ``n=<int>`` header; without a header
-the strand count defaults to one more than the largest index used (minimum
-1, so the empty word is the unknot).
+``t<j>^<k>`` (``t<j>`` means k = 1), ``x<i>``, indices from 1, with an
+optional leading ``n=<int>`` header; no number has a leading zero, and the
+exponent 0 has no sign.  Without a header the strand count defaults to one
+more than the largest index used (minimum 1, so the empty word is the
+unknot).
 """
 from __future__ import annotations
 
@@ -112,7 +113,8 @@ class BraidWord:
         elif type(n) is not int:
             raise ValueError(f"strand count must be an int, got n={n!r}")
         elif n < need:
-            raise ValueError(f"word needs at least {need} strands, got n={n}")
+            noun = "strand" if need == 1 else "strands"
+            raise ValueError(f"word needs at least {need} {noun}, got n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "kind", _infer_kind(letters))
@@ -169,8 +171,8 @@ class BraidWord:
 
 
 _TOKEN = re.compile(
-    r"^(?:(?P<header>n=(?P<n>\d+))|(?P<neg>-)?s(?P<si>[1-9]\d*)"
-    r"|t(?P<tj>[1-9]\d*)(?:\^(?P<tk>-?\d+))?|x(?P<xi>[1-9]\d*))$")
+    r"^(?:(?P<header>n=(?P<n>0|[1-9]\d*))|(?P<neg>-)?s(?P<si>[1-9]\d*)"
+    r"|t(?P<tj>[1-9]\d*)(?:\^(?P<tk>0|-?[1-9]\d*))?|x(?P<xi>[1-9]\d*))$")
 
 
 def parse_braid(text: str) -> BraidWord:

@@ -18,8 +18,13 @@ solution of D exactly when y = (d/|D|) 1_D.  YTL passes when y has that
 shape with |D| <= 2 and z is -1/(u+1) or -1 for |D| = 1, -1/2 for
 |D| = 2.  FTL passes when every nonzero y_k is -dz or -dz(u+1), with
 z = -1/(|D_1| + (u+1)|D_2|) for the two blocks D_1, D_2 of the support.
-The transform runs in Fraction and Cyclotomic numbers when every x is a
-constant, and in RatFunc only when some x is rational in u.
+All three closed forms run in the integer kernel of the scan below, with
+no RatFunc built: z = P / Q and every x_m = X_m / S are split over
+Z[u, w], w = zeta_M with M = lcm(L, d), so S y_k = sum_m X_m w^(-k m M/d)
+is a sum of shifted integer polynomials, and each comparison is a
+polynomial identity, cross-multiplied and tested for zero mod Phi_M(w):
+y_k == -dz is Y_k Q + d S P == 0, z == -1/(u+1) is (u+1) P + Q == 0.  An x
+rational in u takes the same path, with S a polynomial.
 
 CTL passes when (u+1) z^2 sum_k x_k + (u+2) z sum_k tr(e_1^{(k)})
 + sum_k tr(e_1^{(k)} e_2) = 0, with e_1^{(k)} = t_1^k e_1.  These are
@@ -52,8 +57,9 @@ each verified rather than assumed, and by walking the basis:
 
 Spans are decided by one fraction-free echelon over Z[u, u^-1] (_Span):
 entries stay integer Laurent polynomials, read straight off T, a row is
-made primitive when it is stored, and a RatFunc is built only for a kept
-word, whose value may be a witness.  A check's z and x, values in
+made primitive when it is stored (by an integer pseudo-remainder gcd of
+its entries), and a RatFunc is built only for a kept word, whose value may
+be a witness.  A check's z and x, values in
 Q(zeta_L)(u) with L the lcm of their conductors, are split as P / Q over
 Z[u, w], w = zeta_L, so a kept value times the Q^top of its variables is
 N = sum c(u) prod P^e Q^(top-e), and it vanishes exactly when every
@@ -70,7 +76,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
@@ -83,13 +88,10 @@ from .algebra import (
     quotient_generator,
     split_basis,
 )
-from .esystem import MAX_MODULUS, fourier_transform
+from .esystem import MAX_MODULUS
 from .scalars import (
     Cyclotomic,
     RatFunc,
-    U,
-    _uni_divmod,
-    _uni_gcd,
     cyclotomic_polynomial,
     laurent_ratfunc,
 )
@@ -201,9 +203,17 @@ def _kernel_mul(a: dict, b: dict, L: int) -> dict:
 _KERNEL_ONE = {(0, 0): 1}
 
 
+def _conductor(values) -> int:
+    """The lcm of the conductors of the coefficients of values, 1 when all
+    are rational."""
+    return math.lcm(*(c.m for v in values for poly in (v.num, v.den)
+                      for c in poly.terms.values() if type(c) is Cyclotomic))
+
+
 def _split(value: RatFunc, L: int) -> tuple[dict, dict]:
     """value = P / Q with P, Q polynomials {(u exponent, w exponent): int} in u
-    and w = zeta_L; one integer clears the denominators of both."""
+    and w = zeta_L, L a multiple of the conductor of value; one integer
+    clears the denominators of both."""
     coeffs = list(value.num.terms.values()) + list(value.den.terms.values())
     scale = math.lcm(*(q.denominator for c in coeffs
                        for q in (c.c if type(c) is Cyclotomic else (c,))))
@@ -222,6 +232,28 @@ def _split(value: RatFunc, L: int) -> tuple[dict, dict]:
     return out[0], out[1]
 
 
+def _vanishes_mod(total: dict, L: int) -> bool:
+    """Is a polynomial {(u exponent, w exponent < L): int} zero, w = zeta_L:
+    is every u-coefficient 0 mod Phi_L(w)?"""
+    if L == 1:
+        return not any(total.values())
+    phi = [int(c) for c in cyclotomic_polynomial(L)]  # monic, integral
+    deg = len(phi) - 1
+    rows: dict = {}
+    for (e, k), c in total.items():
+        if c:
+            rows.setdefault(e, [0] * L)[k] += c
+    for row in rows.values():
+        for j in range(L - 1, deg - 1, -1):  # w^j -= w^(j-deg) Phi_L(w)
+            c = row[j]
+            if c:
+                for i in range(deg):
+                    row[j - deg + i] -= c * phi[i]
+        if any(row[:deg]):
+            return False
+    return True
+
+
 class _Specialization:
     """One check's z and x in the integer kernel, for the zero test of forms.
 
@@ -235,9 +267,7 @@ class _Specialization:
 
     def __init__(self, check: QuotientCheck, tops: tuple):
         values = (check.zval,) + check.xs
-        self.L = L = math.lcm(*(c.m for v in values
-                                for poly in (v.num, v.den)
-                                for c in poly.terms.values() if type(c) is Cyclotomic))
+        self.L = L = _conductor(values)
         self.tables = []
         for v, top in zip(values, tops):
             p, q = _split(v, L)
@@ -246,7 +276,6 @@ class _Specialization:
                 ps.append(_kernel_mul(ps[-1], p, L))
                 qs.append(_kernel_mul(qs[-1], q, L))
             self.tables.append([_kernel_mul(ps[e], qs[top - e], L) for e in range(top + 1)])
-        self.phi = [int(c) for c in cyclotomic_polynomial(L)]  # monic, integral
         self.memo: dict = {}
 
     def _monomial(self, exps: tuple) -> dict:
@@ -268,22 +297,7 @@ class _Specialization:
                 for (e2, k), c2 in mono.items():
                     key = (e1 + e2, k)
                     total[key] = total.get(key, 0) + c1 * c2
-        L = self.L
-        if L == 1:
-            return not any(total.values())
-        phi, deg = self.phi, len(self.phi) - 1
-        rows: dict = {}
-        for (e, k), c in total.items():
-            rows.setdefault(e, [0] * L)[k] = c
-        for row in rows.values():
-            for j in range(L - 1, deg - 1, -1):  # w^j -= w^(j-deg) Phi_L(w)
-                c = row[j]
-                if c:
-                    for i in range(deg):
-                        row[j - deg + i] -= c * phi[i]
-            if any(row[:deg]):
-                return False
-        return True
+        return _vanishes_mod(total, self.L)
 
 
 def _first_failure(check: QuotientCheck):
@@ -348,50 +362,110 @@ def quotient_report(check: QuotientCheck) -> dict:
 # -- closed-form characterizations ------------------------------------------
 
 
-# z values that pass YTL, by |D|
-_YTL_Z = {1: (RatFunc.const(-1) / (U + 1), RatFunc.const(-1)),
-          2: (RatFunc.const(Fraction(-1, 2)),)}
+class _ClosedForm:
+    """One check's z and Fourier transform over Z[u, w], w = zeta_M with
+    M = lcm(L, d), L the lcm of the conductors of its coefficients.
 
+    z = P / Q, and x_m = X_m / S with S the product of the distinct
+    denominators of x_1..x_{d-1} (X_0 = S), all split by _split; then
+    Y_k = S y_k = sum_m X_m w^(-k m M/d) needs no product.  Every comparison
+    of the closed forms is a polynomial identity, cross-multiplied and
+    tested by vanishes.
+    """
 
-def _transform(check: QuotientCheck):
-    """The Fourier transform of (1, x_1..x_{d-1}), in numbers when every x is
-    constant: a constant x is read as its Fraction or Cyclotomic."""
-    return fourier_transform((1, *(v if v.variables() else v.num.constant_value()
-                                   for v in check.xs)))
+    def __init__(self, check: QuotientCheck):
+        self.d = check.d
+        self.M = M = math.lcm(_conductor((check.zval,) + check.xs), check.d)
+        self.p, self.q = _split(check.zval, M)
+        splits = [_split(v, M) for v in check.xs]
+        dens: list = []
+        for _, qm in splits:
+            if qm not in dens:
+                dens.append(qm)
+        self.S = _KERNEL_ONE
+        for qm in dens:
+            self.S = _kernel_mul(self.S, qm, M)
+        self.X = [self.S]
+        for pm, qm in splits:
+            for other in dens:
+                if other != qm:
+                    pm = _kernel_mul(pm, other, M)
+            self.X.append(pm)
+
+    def y(self, k: int) -> dict:
+        """Y_k = S y_k."""
+        M = self.M
+        step = M // self.d
+        out: dict = {}
+        for m, xm in enumerate(self.X):
+            shift = -k * m * step
+            for (e, j), c in xm.items():
+                key = (e, (j + shift) % M)
+                out[key] = out.get(key, 0) + c
+        return out
+
+    def vanishes(self, *parts) -> bool:
+        """Is the sum of c u^s poly over the parts (poly, c, s) zero?"""
+        total: dict = {}
+        for poly, c, s in parts:
+            for (e, k), v in poly.items():
+                key = (e + s, k)
+                total[key] = total.get(key, 0) + c * v
+        return _vanishes_mod(total, self.M)
 
 
 def _ytl_admissible(check: QuotientCheck) -> bool:
-    ft = _transform(check)
-    size = len(ft.support)
-    if not any(check.zval == t for t in _YTL_Z.get(size, ())):
+    """y = (d/s) 1_D with s = |D| <= 2: s Y_k - d S is 0 on the support; and
+    z = -1/(u+1) or -1 for s = 1, -1/2 for s = 2: (u+1) P + Q, P + Q or
+    2 P + Q is 0."""
+    cf = _ClosedForm(check)
+    p, q = cf.p, cf.q
+    ys = [y for y in map(cf.y, range(check.d)) if not cf.vanishes((y, 1, 0))]
+    if len(ys) == 1:
+        zs = (((p, 1, 1), (p, 1, 0), (q, 1, 0)), ((p, 1, 0), (q, 1, 0)))
+    elif len(ys) == 2:
+        zs = (((p, 2, 0), (q, 1, 0)),)
+    else:
         return False
-    level = RatFunc.const(Fraction(check.d, size))
-    return all(level == ft.y[k] for k in ft.support)
-
-
-# One entry per block sizes (|D_1|, |D_2|), |D_1| + |D_2| <= d <= MAX_MODULUS.
-@functools.lru_cache(maxsize=(MAX_MODULUS + 1) * (MAX_MODULUS + 2) // 2)
-def _ftl_z(n1: int, n2: int) -> RatFunc:
-    """The one z that passes FTL with blocks of sizes n1, n2: -1/(n1 + (u+1) n2)."""
-    return RatFunc.const(-1) / (n1 + (U + 1) * n2)
+    return (any(cf.vanishes(*z) for z in zs)
+            and all(cf.vanishes((y, len(ys), 0), (cf.S, -check.d, 0)) for y in ys))
 
 
 def _ftl_admissible(check: QuotientCheck) -> bool:
-    d, z = check.d, check.zval
-    ft = _transform(check)
-    neg_dz = RatFunc.const(-d) * z
-    neg_dz_u = neg_dz * (U + 1)
-    # the support is never empty (sum_k y_k = d), and the two blocks are
-    # disjoint: for z != 0 the two values differ, for z = 0 both are empty
-    n1, n2 = (sum(ft.y[k] == v for k in ft.support) for v in (neg_dz, neg_dz_u))
-    return n1 + n2 == len(ft.support) and z == _ftl_z(n1, n2)
+    """Every nonzero y_k is -dz or -dz(u+1): Y_k Q + d S P or
+    Y_k Q + d (u+1) S P is 0; and z = -1/(n1 + (u+1) n2) for the counts n1,
+    n2 of each: (n1 + n2 + n2 u) P + Q is 0."""
+    cf = _ClosedForm(check)
+    d, p = check.d, cf.p
+    sp = _kernel_mul(cf.S, p, cf.M)
+    n1 = n2 = 0
+    # the support is never empty (sum_k y_k = d), and the two values are
+    # distinct for z != 0; for z = 0 no nonzero y_k takes either
+    for k in range(d):
+        y = cf.y(k)
+        if cf.vanishes((y, 1, 0)):
+            continue
+        yq = _kernel_mul(y, cf.q, cf.M)
+        if cf.vanishes((yq, 1, 0), (sp, d, 0)):
+            n1 += 1
+        elif cf.vanishes((yq, 1, 0), (sp, d, 0), (sp, d, 1)):
+            n2 += 1
+        else:
+            return False
+    return cf.vanishes((p, n1 + n2, 0), (p, n2, 1), (cf.q, 1, 0))
 
 
 def _ctl_admissible(check: QuotientCheck) -> bool:
-    y0 = RatFunc.const(_transform(check).y[0])
-    w = y0 * Fraction(1, check.d)
-    z = check.zval
-    return any(f.is_zero() for f in (y0, z + w, (U + 1) * z + w))
+    """y_0 (z + w)((u+1) z + w) = 0 with w = y_0/d: Y_0, d S P + Y_0 Q or
+    d S (u+1) P + Y_0 Q is 0."""
+    cf = _ClosedForm(check)
+    d = check.d
+    y0 = cf.y(0)
+    if cf.vanishes((y0, 1, 0)):
+        return True
+    sp, yq = _kernel_mul(cf.S, cf.p, cf.M), _kernel_mul(y0, cf.q, cf.M)
+    return (cf.vanishes((sp, d, 0), (yq, 1, 0))
+            or cf.vanishes((sp, d, 0), (sp, d, 1), (yq, 1, 0)))
 
 
 def admissible(check: QuotientCheck) -> bool:
@@ -413,25 +487,64 @@ def _content_free(vec: dict) -> dict:
     return {col: {e - low: v // g for e, v in c.items()} for col, c in vec.items()}
 
 
-def _dense(c: dict) -> list[Fraction]:
-    """{u exponent >= 0: int} as its ascending coefficient list."""
-    return [Fraction(c.get(e, 0)) for e in range(max(c) + 1)]
+def _zx_primitive(c: list[int]) -> list[int]:
+    """A nonzero dense int list over its content, leading coefficient > 0."""
+    g = math.gcd(*c)
+    if c[-1] < 0:
+        g = -g
+    return c if g == 1 else [v // g for v in c]
+
+
+def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd in Z[u] of two nonzero dense int lists, primitive with a
+    positive leading coefficient: Euclid on pseudo-remainders, each made
+    primitive.  A constant gcd comes back as [1]."""
+    a, b = _zx_primitive(a), _zx_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem, lead = list(a), b[-1]
+        while len(rem) >= len(b):  # rem = (lead rem - c u^k b) / gcd(c, lead)
+            c = rem.pop()
+            g = math.gcd(c, lead)
+            p, c, k = lead // g, c // g, len(rem) - len(b) + 1
+            rem = [v * p for v in rem]
+            for i, v in enumerate(b[:-1]):
+                rem[k + i] -= c * v
+            while rem and not rem[-1]:
+                rem.pop()
+        if not rem:
+            return b
+        a, b = b, _zx_primitive(rem)
+    return [1]
+
+
+def _zx_divexact(c: list[int], g: list[int]) -> list[int]:
+    """c / g in Z[u], for a g that divides c in Z[u]."""
+    rem, top = list(c), len(g) - 1
+    quot = [0] * (len(c) - top)
+    for k in range(len(quot) - 1, -1, -1):  # an inexact step leaves rem[k + top]
+        quot[k] = q = rem[k + top] // g[-1]
+        for i, v in enumerate(g):
+            rem[k + i] -= q * v
+    if any(rem):
+        raise AssertionError("inexact division in Z[u]")
+    return quot
 
 
 def _primitive(vec: dict) -> dict:
     """vec over the gcd of its entries in Z[u, u^-1]: _content_free, then the
-    gcd in Q[u] of the entries made primitive in Z[u], which by Gauss's lemma
-    leaves int entries of content 1.  A one-term entry makes that gcd 1."""
+    primitive gcd in Z[u] of the entries (_zx_gcd), divided out exactly in
+    Z[u].  A one-term entry makes that gcd 1."""
     vec = _content_free(vec)
     if any(len(c) == 1 for c in vec.values()):
         return vec
-    g = functools.reduce(_uni_gcd, sorted(map(_dense, vec.values()), key=len))
+    dense = {col: [c.get(e, 0) for e in range(max(c) + 1)] for col, c in vec.items()}
+    g = functools.reduce(_zx_gcd, sorted(dense.values(), key=len))
     if len(g) == 1:
         return vec
-    scale = math.lcm(*(v.denominator for v in g))
-    g = [v * Fraction(scale, math.gcd(*(int(v * scale) for v in g))) for v in g]
-    return {col: {e: int(v) for e, v in enumerate(_uni_divmod(_dense(c), g)[0]) if v}
-            for col, c in vec.items()}
+    return {col: {e: v for e, v in enumerate(_zx_divexact(c, g)) if v}
+            for col, c in dense.items()}
 
 
 class _Span:

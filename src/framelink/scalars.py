@@ -27,11 +27,11 @@ in u, and in z and x, over one integer denominator), and ``laurent_ratfunc``
 is the one way from that kernel to a ``RatFunc``, built already normalized
 (over a monomial, or over a polynomial that the caller vouches for).
 ``RatFunc`` arithmetic runs where a division happens: lambda_D itself, the
-z and x values that a ``Tracer`` substitutes, the quotient closed forms and
-the one witness value a failing quotient check prints, parsing and
-``HalfPowerValue``.  The quotient layer decides without it: its scan reduces
-integer polynomials in u and zeta_L modulo ``cyclotomic_polynomial(L)``,
-and its elimination is fraction-free over Z[u, u^-1].
+z and x values that a ``Tracer`` substitutes, the one witness value a
+failing quotient check prints, parsing and ``HalfPowerValue``.  The quotient
+layer decides without it: its closed forms and its scan reduce integer
+polynomials in u and zeta_L modulo ``cyclotomic_polynomial(L)``, and its
+elimination is fraction-free over Z[u, u^-1], with an integer gcd.
 
 A normalized ``RatFunc`` with a constant denominator holds the shared
 ``_POLY_ONE``, so products and sums of polynomials skip normalization by an

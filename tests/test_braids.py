@@ -53,9 +53,21 @@ def test_header_must_lead():
 
 def test_reject_garbage():
     # indices count from 1: an index 0 is a bad token like any other
-    for bad in ("q1", "s0", "-s0", "t0", "t0^2", "s01", "s1x2", "t1^", "x0"):
+    # numbers are written as render writes them: no leading zero, no -0
+    for bad in ("q1", "s0", "-s0", "t0", "t0^2", "s01", "s1x2", "t1^", "x0",
+                "n=03", "n=00", "t1^007", "t1^00", "t1^-0", "t1^-07", "t01^2"):
         with pytest.raises(ValueError, match=f"^bad braid token '{re.escape(bad)}'$"):
             parse_braid(bad)
+
+
+def test_exponents_zero_and_one_parse():
+    assert parse_braid("t1^0").letters == (("t", 1, 0),)
+    assert parse_braid("t1^1").letters == (("t", 1, 1),)
+    assert parse_braid("n=10 t10^-10").n == 10
+    with pytest.raises(ValueError, match="^word needs at least 1 strand, got n=0$"):
+        parse_braid("n=0")
+    with pytest.raises(ValueError, match="^word needs at least 2 strands, got n=1$"):
+        parse_braid("n=1 s1")
 
 
 def test_empty_word_is_unknot():

@@ -349,6 +349,15 @@ def test_usage_errors(capsys):
     for token in ("s0", "-s0", "t0^2", "x0"):
         code, out, err = run(capsys, "jones", f"--braid={token}")
         assert (code, out, err) == (2, "", f"error: bad braid token {token!r}\n")
+    # a leading zero or -0 is a bad token too; t1^0 and t1^1 are letters
+    for braid, token in (("n=03 s1", "n=03"), ("t1^007", "t1^007"), ("t1^-0", "t1^-0")):
+        code, out, err = run(capsys, "framed-jones", "--d", "2", f"--braid={braid}")
+        assert (code, out, err) == (2, "", f"error: bad braid token {token!r}\n")
+    for braid in ("t1^0", "t1^1"):
+        code, out, _ = run(capsys, "framed-jones", "--d", "2", f"--braid={braid}")
+        assert code == 0 and out.strip()
+    code, out, err = run(capsys, "jones", "--braid=n=0")
+    assert (code, out, err) == (2, "", "error: word needs at least 1 strand, got n=0\n")
     code, _, err = run(capsys, "invariant", "--family", "classical",
                        "--d", "1", "--subset", "", "--braid", "s1")
     assert code == 2

@@ -279,8 +279,7 @@ def test_constant_caches_are_bounded():
     for cached in (algebra.gen_g, algebra.gen_t, algebra.idempotent_e,
                    algebra.inverse_g, algebra.p_elem, algebra._word_product,
                    esystem._solution, invariants.lambda_d, invariants._l_power,
-                   quotients._generic_scan, quotients._conjugation_certificate,
-                   quotients._ftl_z):
+                   quotients._generic_scan, quotients._conjugation_certificate):
         assert cached.cache_info().maxsize is not None, cached
 
 

@@ -1,6 +1,7 @@
 """Quotient trace-passing: closed forms against the ideal-vanishing scan,
 and the inclusion chain of the three defining ideals."""
 
+import functools
 import json
 import math
 import random
@@ -18,22 +19,40 @@ from framelink.algebra import (
     split_basis,
     word_render,
 )
-from framelink.esystem import build_solution, enumerate_solutions, inverse_fourier
+from framelink.esystem import (
+    build_solution,
+    enumerate_solutions,
+    fourier_transform,
+    inverse_fourier,
+)
 from framelink.quotients import (
     KINDS,
     QuotientCheck,
     _Span,
     _Specialization,
+    _content_free,
     _deep_scan,
     _generic_scan,
     _same_trace,
+    _primitive,
     _scan,
+    _zx_gcd,
     admissible,
     ideal_inclusion,
     quotient_report,
     trace_vanishes_on_ideal,
 )
-from framelink.scalars import Cyclotomic, Poly, RatFunc, U, Z, _uni_poly_gcd, x_var
+from framelink.scalars import (
+    Cyclotomic,
+    Poly,
+    RatFunc,
+    U,
+    Z,
+    _uni_divmod,
+    _uni_gcd,
+    _uni_poly_gcd,
+    x_var,
+)
 from framelink.trace import Tracer
 from helpers import random_element
 
@@ -289,6 +308,104 @@ def test_ctl_closed_form_matches_the_traced_sums(d):
             assert verdict is _ctl_by_traced_sums(check), (xs, z)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# -- the integer identities against the RatFunc comparisons they replace ----
+
+
+_REF_YTL_Z = {1: (RatFunc.const(-1) / (U + 1), RatFunc.const(-1)),
+              2: (RatFunc.const(-HALF),)}
+
+
+def _ref_transform(check):
+    """The Fourier transform of (1, x_1..x_{d-1}), a constant x read as its
+    Fraction or Cyclotomic."""
+    return fourier_transform((1, *(v if v.variables() else v.num.constant_value()
+                                   for v in check.xs)))
+
+
+def _ref_ytl(check):
+    ft = _ref_transform(check)
+    size = len(ft.support)
+    if not any(check.zval == t for t in _REF_YTL_Z.get(size, ())):
+        return False
+    level = RatFunc.const(Fraction(check.d, size))
+    return all(level == ft.y[k] for k in ft.support)
+
+
+def _ref_ftl(check):
+    d, z = check.d, check.zval
+    ft = _ref_transform(check)
+    neg_dz = RatFunc.const(-d) * z
+    neg_dz_u = neg_dz * (U + 1)
+    n1, n2 = (sum(ft.y[k] == v for k in ft.support) for v in (neg_dz, neg_dz_u))
+    return n1 + n2 == len(ft.support) and z == RatFunc.const(-1) / (n1 + (U + 1) * n2)
+
+
+def _ref_ctl(check):
+    y0 = RatFunc.const(_ref_transform(check).y[0])
+    w = y0 * Fraction(1, check.d)
+    z = check.zval
+    return any(f.is_zero() for f in (y0, z + w, (U + 1) * z + w))
+
+
+_REF_ADMISSIBLE = {"ytl": _ref_ytl, "ftl": _ref_ftl, "ctl": _ref_ctl}
+
+
+def _differential_xs(rng, d):
+    """Every E-system solution at d, then seeded non-solutions: rational, rational
+    in u, an FTL block point, a perturbed solution and x in Q(zeta_5)."""
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    out = [tuple(s.x[1:]) for s in enumerate_solutions(d)]
+    if d == 1:
+        return out
+    for _ in range(2):
+        out.append(tuple(rational() for _ in range(d - 1)))
+        out.append(tuple((rational() * U + rational()) / (U + rng.randint(1, 5))
+                         for _ in range(d - 1)))
+    out.append(_block_point(rng, d)[1])
+    xs = list(rng.choice(out[:2 ** d - 1]))
+    xs[rng.randrange(d - 1)] += Fraction(1, 3)
+    out.append(tuple(xs))
+    out.append(tuple(Cyclotomic.root_of_unity(5, rng.randint(1, 4)) + rng.randint(-1, 1)
+                     for _ in range(d - 1)))
+    return out
+
+
+def _differential_zs(rng, kind, d, xs):
+    """Every z of the passing family of kind (for CTL the two roots at these
+    x, for FTL one per block split), then seeded rational, rational-in-u and
+    cyclotomic z."""
+    if kind == "ytl":
+        zs = [Z_TL, RatFunc.const(-1), RatFunc.const(-HALF)]
+    elif kind == "ftl":
+        zs = [RatFunc.const(-1) / (n1 + (U + 1) * n2)
+              for n1 in range(d + 1) for n2 in range(d + 1 - n1) if n1 + n2]
+    else:
+        w = (1 + sum(xs, start=RatFunc.const(0))) * Fraction(1, d)
+        zs = [-w, -w / (U + 1)]
+    return zs + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                 (U + rng.randint(1, 5)) / (rng.randint(2, 5) * U - 1),
+                 RatFunc.const(-1) / (U + Cyclotomic.root_of_unity(3, rng.randint(1, 2))),
+                 Cyclotomic.root_of_unity(4, 1) - rng.randint(1, 3)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4], ids=lambda d: f"d={d}")
+def test_closed_forms_match_the_ratfunc_comparisons(d):
+    # the integer identities over Z[u, w] / Phi_M against the RatFunc
+    # comparisons of the Fourier transform that they replace
+    rng = random.Random(6100 + d)
+    verdicts = {kind: set() for kind in KINDS}
+    for xs in _differential_xs(rng, d):
+        for kind in KINDS:
+            for z in _differential_zs(rng, kind, d, xs):
+                check = QuotientCheck(kind, d, z, xs)
+                verdict = admissible(check)
+                assert verdict is _REF_ADMISSIBLE[kind](check), (kind, z, xs)
+                verdicts[kind].add(verdict)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
 
 
 # -- deep double loop validates the reduction --------------------------------
@@ -728,6 +845,82 @@ def test_span_matches_the_ratfunc_rows(d):
         assert len(span.rows) == len(ref.rows)
         assert all(_is_primitive(row) for row in span.rows.values())
     assert ranks == members == {True, False}
+
+
+def _ref_primitive(vec):
+    """The Fraction route that the integer gcd replaced: _content_free, then
+    the monic gcd in Q[u] (scalars._uni_gcd) made primitive in Z[u], and
+    the entries divided by it through scalars._uni_divmod."""
+    vec = _content_free(vec)
+    if any(len(c) == 1 for c in vec.values()):
+        return vec
+
+    def dense(c):
+        return [Fraction(c.get(e, 0)) for e in range(max(c) + 1)]
+
+    g = functools.reduce(_uni_gcd, sorted(map(dense, vec.values()), key=len))
+    if len(g) == 1:
+        return vec
+    scale = math.lcm(*(v.denominator for v in g))
+    g = [v * Fraction(scale, math.gcd(*(int(v * scale) for v in g))) for v in g]
+    return {col: {e: int(v) for e, v in enumerate(_uni_divmod(dense(c), g)[0]) if v}
+            for col, c in vec.items()}
+
+
+def _zx_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# common factors: 1, u+1, (u+1)^2, 2u-3, -3u+2 (negative lead), u^2+1,
+# (2u-3)^2, (u+1)^2 (2u-3) and (u+1)^4
+_FACTORS = ([1], [1, 1], [1, 2, 1], [-3, 2], [2, -3], [1, 0, 1], [9, -12, 4],
+            [-3, -4, 1, 2], [1, 4, 6, 4, 1])
+
+
+def _zx_entry(rng, common):
+    """common times a seeded cofactor, u-degree up to 4 in all, a random sign
+    and content."""
+    top = max(0, 4 - (len(common) - 1))
+    cof = [rng.randint(-4, 4) for _ in range(rng.randint(0, min(2, top)))]
+    cof.append(rng.choice((-3, -2, -1, 1, 2)))
+    scale = rng.choice((1, 1, -1, 2, -3))
+    return [v * scale for v in _zx_mul(common, cof)]
+
+
+def _ref_zx_gcd(a, b):
+    g = _uni_gcd([Fraction(v) for v in a], [Fraction(v) for v in b])
+    scale = math.lcm(*(v.denominator for v in g))
+    ints = [int(v * scale) for v in g]
+    return [v // math.gcd(*ints) for v in ints]
+
+
+def test_integer_content_gcd_matches_the_fraction_euclid():
+    # _zx_gcd against scalars._uni_gcd made primitive in Z[u], and the whole
+    # _primitive step against the Fraction route it replaced
+    rng = random.Random(4400)
+    degrees, negative_leads = set(), set()
+    for _ in range(300):
+        common = rng.choice(_FACTORS)
+        a, b = _zx_entry(rng, common), _zx_entry(rng, common)
+        assert _zx_gcd(a, b) == _ref_zx_gcd(a, b), (a, b)
+        degrees.add(len(_zx_gcd(a, b)) - 1)
+        negative_leads.add(a[-1] < 0)
+    assert degrees >= {0, 1, 2, 3, 4} and negative_leads == {True, False}
+    nontrivial = 0
+    for _ in range(300):
+        common = rng.choice(_FACTORS)
+        vec = {}
+        for col in range(rng.randint(1, 4)):
+            shift = rng.randint(-2, 2)
+            vec[col] = {e + shift: v for e, v in enumerate(_zx_entry(rng, common)) if v}
+        got = _primitive(vec)
+        assert got == _ref_primitive(vec), vec
+        nontrivial += got != _content_free(vec)
+    assert nontrivial > 50
 
 
 def test_inclusion_rejects_mismatched_algebra():
