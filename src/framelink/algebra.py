@@ -39,6 +39,14 @@ braid-word map and basis_walk all go through it.  Word-by-word products are
 cached independently of any trace parameters.  At the boundary,
 ``from_word(coeff=)`` and ``scale`` take an int, a Fraction or a RatFunc in u
 whose denominator is a monomial, and ``coeff`` gives a term back as a RatFunc.
+
+Left products.  The defining relations read the same backwards, so the map
+iota that fixes every g_i and t_j and reverses products is an
+anti-involution of Y_{d,n}(u).  It sends t^a g_x to g_{x^-1} t^a =
+t^(a o x) g_{x^-1}, with (a o x)_j = a_{x(j)}: a bijection on basis words
+that keeps every coefficient (_anti).  So a left product by one letter,
+w r = iota(iota(r) w), is one letter step between two relabellings, with
+no second product rule.
 """
 from __future__ import annotations
 
@@ -156,6 +164,12 @@ def _times_letter(terms: dict[BasisWord, Laurent], den: int, d: int,
             _bump(out, (fs, xp), ck)
             _bump(out, (fs, x), ck)
     return {w: c for w, c in out.items() if c}, den * scale
+
+
+def _anti(terms: dict[BasisWord, Laurent]) -> dict[BasisWord, Laurent]:
+    """The anti-involution iota (module docstring) on terms: t^a g_x goes to
+    t^(a o x) g_{x^-1}, and every coefficient stays as it is."""
+    return {(tuple([f[j - 1] for j in x]), perms.inverse(x)): c for (f, x), c in terms.items()}
 
 
 # Called from __mul__ and trace._strip only.  Tier-1 fills 3,555 keys in one

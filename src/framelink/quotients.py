@@ -59,17 +59,27 @@ Spans are decided by one fraction-free echelon over Z[u, u^-1] (_Span):
 entries stay integer Laurent polynomials, read straight off T, a row is
 made primitive when it is stored (by an integer pseudo-remainder gcd of
 its entries), and a RatFunc is built only for a kept word, whose value may
-be a witness.  A check's z and x, values in
+be a witness.  A primitive row's pivot is most often a unit +-u^k, and a
+step on it subtracts (vec[col] / p) row, exact in Z[u, u^-1], with no
+scaling and no content to remove.  A check's z and x, values in
 Q(zeta_L)(u) with L the lcm of their conductors, are split as P / Q over
 Z[u, w], w = zeta_L, so a kept value times the Q^top of its variables is
 N = sum c(u) prod P^e Q^(top-e), and it vanishes exactly when every
-u-coefficient of N is 0 mod Phi_L(w).  RatFunc.substitute runs only for the
-witness value of the first failing word, which quotient_report prints.
+u-coefficient of N is 0 mod Phi_L(w).  The table P^e Q^(top-e) of one value
+depends on (P, Q, L, top) alone and is built once per process
+(_power_table); the values recur, since x comes from the E-system
+solutions and z from the passing families.  RatFunc.substitute runs only
+for the witness value of the first failing word, which quotient_report
+prints.
 
 ideal_inclusion decides the chain of the three defining ideals in the same
 echelon, without the pair loop: it closes the span of one generator under
 multiplication by the algebra generators on both sides, which gives its
 whole two-sided ideal because words in those generators span Y_{d,n}(u).
+Each product is one letter step on a term dict: r w by _times_letter, and
+w r = iota(iota(r) w) through the anti-involution iota of algebra._anti,
+so no full algebra product is built.  The certificate forms w c the same
+way.
 """
 from __future__ import annotations
 
@@ -79,16 +89,15 @@ from dataclasses import dataclass
 
 from .algebra import (
     AlgebraElement,
+    _anti,
     _bump,
     _lmul,
     _times_letter,
     basis_walk,
-    gen_g,
-    gen_t,
     quotient_generator,
     split_basis,
 )
-from .esystem import MAX_MODULUS
+from .esystem import MAX_MODULUS, check_modulus
 from .scalars import (
     Cyclotomic,
     RatFunc,
@@ -117,8 +126,7 @@ class QuotientCheck:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown quotient kind {self.kind!r}")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        check_modulus(self.d)
         if len(self.xs) != self.d - 1:
             raise ValueError(f"need x_1..x_{self.d - 1}")
         object.__setattr__(self, "zval", RatFunc.const(self.zval))
@@ -147,16 +155,16 @@ def _same_trace(a: tuple[int, dict], b: tuple[int, dict]) -> bool:
 def _conjugation_certificate(d: int) -> bool:
     """Generic-mode check that the trace is invariant under cyclic moves
     by every generator; extends to tr(ab) = tr(ba) by induction on words.
-    c w is c right-multiplied by one letter; w c is a plain product."""
+    c w is c right-multiplied by one letter, and w c = iota(iota(c) w)."""
     tracer = Tracer(d)
-    gens = [(("s", i, 1), gen_g(d, _N, i)) for i in range(1, _N)]
-    if d > 1:
-        gens.append((("t", 1, 1), gen_t(d, _N, 1)))
+    letters = [("s", i, 1) for i in range(1, _N)] + ([("t", 1, 1)] if d > 1 else [])
     for frm, perm in split_basis(d, _N):
         c = AlgebraElement.from_word(d, _N, frm, perm)
-        for letter, w in gens:
+        for letter in letters:
             cw = AlgebraElement(d, _N, *_times_letter(c.terms, c.den, d, letter))
-            if not _same_trace(tracer.trace(cw), tracer.trace(w * c)):
+            wc, den = _times_letter(_anti(c.terms), c.den, d, letter)
+            wc = AlgebraElement(d, _N, _anti(wc), den)
+            if not _same_trace(tracer.trace(cw), tracer.trace(wc)):
                 return False
     return True
 
@@ -254,6 +262,23 @@ def _vanishes_mod(total: dict, L: int) -> bool:
     return True
 
 
+# One entry per value (P, Q, L, top).  z and x come from finite families (the
+# E-system solutions, the passing values of z), so values recur: tier-1 fills
+# 190 keys in one process, and quotient_grid 140-147 after warm-up and 3,000
+# requests and 187 after 40,000 (seeds 911-913).  1,024 is over 4x the
+# largest, and an evicted table is only rebuilt.
+@functools.lru_cache(maxsize=1024)
+def _power_table(p: tuple, q: tuple, L: int, top: int) -> tuple:
+    """P^e Q^(top-e) for e = 0..top, with P and Q given by their dict items;
+    the tables are shared, so they are never changed."""
+    p, q = dict(p), dict(q)
+    ps, qs = [_KERNEL_ONE], [_KERNEL_ONE]
+    for _ in range(top):
+        ps.append(_kernel_mul(ps[-1], p, L))
+        qs.append(_kernel_mul(qs[-1], q, L))
+    return tuple(_kernel_mul(ps[e], qs[top - e], L) for e in range(top + 1))
+
+
 class _Specialization:
     """One check's z and x in the integer kernel, for the zero test of forms.
 
@@ -271,20 +296,17 @@ class _Specialization:
         self.tables = []
         for v, top in zip(values, tops):
             p, q = _split(v, L)
-            ps, qs = [_KERNEL_ONE], [_KERNEL_ONE]
-            for _ in range(top):
-                ps.append(_kernel_mul(ps[-1], p, L))
-                qs.append(_kernel_mul(qs[-1], q, L))
-            self.tables.append([_kernel_mul(ps[e], qs[top - e], L) for e in range(top + 1)])
+            self.tables.append(_power_table(tuple(p.items()), tuple(q.items()), L, top))
         self.memo: dict = {}
 
     def _monomial(self, exps: tuple) -> dict:
         out = self.memo.get(exps)
         if out is None:
-            out = _KERNEL_ONE
             for table, e in zip(self.tables, exps):
                 if len(table) > 1:
-                    out = _kernel_mul(out, table[e], self.L)
+                    out = table[e] if out is None else _kernel_mul(out, table[e], self.L)
+            if out is None:
+                out = _KERNEL_ONE
             self.memo[exps] = out
         return out
 
@@ -553,8 +575,10 @@ class _Span:
 
     A row is stored under its smallest column, its pivot, and holds no pivot
     of a row stored before it, so one sweep in column order reduces a vector.
-    A step is vec = p vec - vec[col] row with p = row[col], then
-    _content_free; a stored row is _primitive, which keeps the entries small.
+    A step with p = row[col] a unit +-u^k is vec - (vec[col] / p) row, exact
+    in Z[u, u^-1]; any other step is vec = p vec - vec[col] row, then
+    _content_free.  A stored row is _primitive, which keeps the entries small
+    and makes many pivots units.
     Scaling by a nonzero scalar changes no span, so rank and membership are
     those over Q(u), with no division in Q(u).
     """
@@ -569,12 +593,24 @@ class _Span:
             if col is None:
                 return vec
             row = self.rows[col]
-            p, q = row[col], {e: -v for e, v in vec[col].items()}
-            out = {c: _lmul(v, p) for c, v in vec.items()}
-            for c, v in row.items():  # out[col] cancels to {}
-                _bump(out, c, _lmul(v, q))
+            p = row[col]
+            unit = len(p) == 1 and abs(next(iter(p.values()))) == 1
+            if unit:  # p = +-u^k: vec - (vec[col] / p) row
+                (k, sign), = p.items()
+                q = {e - k: -v * sign for e, v in vec[col].items()}
+                out = dict(vec)
+            else:  # p vec - vec[col] row
+                q = {e: -v for e, v in vec[col].items()}
+                out = {c: _lmul(v, p) for c, v in vec.items()}
+            del out[col]  # it cancels
+            for c, v in row.items():
+                if c != col:
+                    prev = out.get(c)
+                    out[c] = _lmul(v, q)
+                    if prev is not None:
+                        _bump(out, c, prev)
             vec = {c: v for c, v in out.items() if v}
-            if vec:
+            if vec and not unit:
                 vec = _content_free(vec)
 
     def insert(self, vec: dict):
@@ -590,34 +626,38 @@ def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int) -> bool:
     """Is genA in the two-sided ideal span{a genB b : a, b split-basis words}?
 
     Built by closure in a _Span whose columns are basis words: from genB on,
-    each element's integer Laurent terms are inserted (its den is a nonzero
-    scalar, so no RatFunc is built), each element that adds rank is queued,
-    and w r and r w are inserted for each queued r and each generator w among
-    g_1, g_2, t_1..t_3 (the t_j only when d > 1).  The span is then closed
-    under both-sided multiplication by the generators, whose words span
-    Y_{d,3}(u).  genA is reduced after every rank increase, so membership
-    exits early.
+    each element's integer Laurent terms are inserted (a den is a nonzero
+    scalar, so none is kept), each term dict that adds rank is queued, and
+    w r and r w are inserted for each queued r and each generator w among
+    g_1, g_2, t_1..t_3 (the t_j only when d > 1).  r w is one letter step
+    (_times_letter) and w r = iota(iota(r) w) (algebra._anti), so no full
+    product is built.  The span is then closed under both-sided
+    multiplication by the generators, whose words span Y_{d,3}(u).  genA is
+    reduced after every rank increase, so membership exits early.
     """
+    check_modulus(d)
     if genA.d != d or genB.d != d or genA.n != _N or genB.n != _N:
         raise ValueError("generators must live in the stated algebra")
-    gens = [gen_g(d, _N, i) for i in range(1, _N)]
+    letters = [("s", i, 1) for i in range(1, _N)]
     if d > 1:
-        gens += [gen_t(d, _N, j) for j in range(1, _N + 1)]
+        letters += [("t", j, 1) for j in range(1, _N + 1)]
     span = _Span()
     target = genA.terms
-    queue: list[AlgebraElement] = []
+    queue: list[dict] = []
 
-    def insert(e: AlgebraElement) -> bool:
+    def insert(terms: dict) -> bool:
         nonlocal target
-        if span.insert(e.terms) is not None:
-            queue.append(e)
+        if span.insert(terms) is not None:
+            queue.append(terms)
             target = span.reduce(target)
         return not target
 
-    if not target or insert(genB):
+    if not target or insert(genB.terms):
         return True
     for r in queue:  # grows while it is read
-        for w in gens:
-            if insert(w * r) or insert(r * w):
+        flipped = _anti(r)
+        for letter in letters:
+            if (insert(_anti(_times_letter(flipped, 1, d, letter)[0]))
+                    or insert(_times_letter(r, 1, d, letter)[0])):
                 return True
     return False

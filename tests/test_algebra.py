@@ -8,6 +8,7 @@ import pytest
 from framelink import perms
 from framelink.algebra import (
     AlgebraElement,
+    _anti,
     _times_letter,
     basis_walk,
     gen_g,
@@ -23,7 +24,7 @@ from framelink.algebra import (
 )
 from framelink.braids import BraidWord, parse_braid
 from framelink.scalars import Cyclotomic, Fraction, RatFunc, U, Z
-from helpers import random_element
+from helpers import random_element, random_laurent_element
 
 DS = (1, 2, 3)
 
@@ -299,6 +300,29 @@ def test_each_letter_rule(d):
         for letter in _letters(n, d):
             got = AlgebraElement(d, n, *_times_letter(elem.terms, elem.den, d, letter))
             assert got == elem * _image(d, n, letter), (word, letter)
+
+
+def _iota(x):
+    return AlgebraElement(x.d, x.n, _anti(x.terms), x.den)
+
+
+@pytest.mark.parametrize("d", DS)
+def test_anti_involution(d):
+    # iota fixes every generator and reverses products: an involution, an
+    # anti-homomorphism, and w r = iota(iota(r) w) for every letter w, on
+    # seeded elements with den > 1 and negative powers of u
+    rng = random.Random(2400 + d)
+    elems = [random_laurent_element(rng, d) for _ in range(8)]
+    assert any(x.den > 1 for x in elems) or d == 1
+    assert any(min(c) < 0 for x in elems for c in x.terms.values())
+    for a, b in zip(elems, elems[1:]):
+        assert _iota(_iota(a)).terms == a.terms
+        assert _iota(a * b) == _iota(b) * _iota(a)
+    for r in elems[:4]:
+        for letter in _letters(3, d):
+            terms, den = _times_letter(_anti(r.terms), r.den, d, letter)
+            got = AlgebraElement(d, 3, _anti(terms), den)
+            assert got == _image(d, 3, letter) * r, letter
 
 
 def test_map_to_algebra_matches_generator_products():

@@ -275,11 +275,15 @@ def test_lambda_exponent_budget():
         framed_jones(parse_braid(" ".join(["t1 s1"] * (top + 2))), 2, (0, 1))
 
 
+# Every cache that outlives a request has a bound.  quotients._power_table,
+# the one keyed on parameter values, fills 190 keys in tier-1 and 187 in
+# quotient_grid (warm-up + 40,000 requests, seeds 911-913) of its 1,024.
 def test_constant_caches_are_bounded():
     for cached in (algebra.gen_g, algebra.gen_t, algebra.idempotent_e,
                    algebra.inverse_g, algebra.p_elem, algebra._word_product,
                    esystem._solution, invariants.lambda_d, invariants._l_power,
-                   quotients._generic_scan, quotients._conjugation_certificate):
+                   quotients._generic_scan, quotients._conjugation_certificate,
+                   quotients._power_table):
         assert cached.cache_info().maxsize is not None, cached
 
 

@@ -11,15 +11,17 @@ import pytest
 
 from framelink.algebra import (
     AlgebraElement,
+    _bump,
+    _lmul,
     gen_g,
     gen_t,
     idempotent_e,
-    inverse_g,
     quotient_generator,
     split_basis,
     word_render,
 )
 from framelink.esystem import (
+    MAX_MODULUS,
     build_solution,
     enumerate_solutions,
     fourier_transform,
@@ -30,6 +32,7 @@ from framelink.quotients import (
     QuotientCheck,
     _Span,
     _Specialization,
+    _conjugation_certificate,
     _content_free,
     _deep_scan,
     _generic_scan,
@@ -54,7 +57,7 @@ from framelink.scalars import (
     x_var,
 )
 from framelink.trace import Tracer
-from helpers import random_element
+from helpers import random_element, random_laurent, random_laurent_element
 
 Z_TL = -(U + 1) ** -1
 HALF = Fraction(1, 2)
@@ -80,6 +83,17 @@ def test_rejects_wrong_xs_length():
         QuotientCheck("ytl", 2, -1)
     with pytest.raises(ValueError):
         QuotientCheck("ytl", 1, -1, (1,))
+
+
+def test_rejects_moduli_outside_the_budget():
+    # d = 33 would run the certificate over 33^3 3! words; it is refused at
+    # once, with the message of every other d, and so is d = 0
+    for d, msg in ((0, "d must be >= 1"), (MAX_MODULUS + 1, f"budget of d <= {MAX_MODULUS}")):
+        with pytest.raises(ValueError, match=msg):
+            QuotientCheck("ytl", d, -1, (0,) * (d - 1))
+        unit = AlgebraElement.unit(max(d, 1), 3)
+        with pytest.raises(ValueError, match=msg):
+            ideal_inclusion(unit, unit, d)
 
 
 def test_rejects_small_n():
@@ -484,6 +498,13 @@ def test_certificate_comparison_is_ratfunc_equality(d):
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_conjugation_certificate_holds(d):
+    # tr(c w) = tr(w c) for every basis word c and generator w, with w c
+    # read through the anti-involution, iota(iota(c) w)
+    assert _conjugation_certificate(d) is True
+
+
 # -- the scan substitutes only a basis of the generic values -----------------
 
 
@@ -699,6 +720,25 @@ def test_chain_strict_at_d2():
                                quotient_generator("ftl", 2, 3, 1), 2)
 
 
+# Is the ideal of the first generator inside that of the second?  Every
+# ordered pair at d <= 2; all three ideals coincide at d = 1, and at d = 2
+# the CTL ideal lies in the FTL ideal, which lies in the YTL ideal, all
+# strictly.
+_INCLUSION_VERDICTS = {
+    1: {(a, b): True for a in KINDS for b in KINDS},
+    2: {("ytl", "ytl"): True, ("ytl", "ftl"): False, ("ytl", "ctl"): False,
+        ("ftl", "ytl"): True, ("ftl", "ftl"): True, ("ftl", "ctl"): False,
+        ("ctl", "ytl"): True, ("ctl", "ftl"): True, ("ctl", "ctl"): True},
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_inclusion_verdicts_of_every_generator_pair(d):
+    gens = {k: quotient_generator(k, d, 3, 1) for k in KINDS}
+    got = {(a, b): ideal_inclusion(gens[a], gens[b], d) for a in KINDS for b in KINDS}
+    assert got == _INCLUSION_VERDICTS[d]
+
+
 class _Rows:
     """Row reduction over Q(u), apart from quotients._Span: rows are kept
     in insertion order, each free of the pivots of the rows before it."""
@@ -789,27 +829,6 @@ def test_chain_at_d3():
     assert not ideal_inclusion(g, r, 3)
 
 
-def _laurent(rng):
-    """A nonzero Laurent polynomial in u with a negative power now and then."""
-    return rng.choice((1, -1, 2)) * U ** rng.randint(-2, 1) + rng.randint(-2, 2) * U ** 2
-
-
-def _random_element(rng, d):
-    """A few split-basis words of Y_{d,3}(u) with Laurent coefficients, at
-    times multiplied by an idempotent (den d) or by an inverse generator
-    (negative powers of u)."""
-    words = list(split_basis(d, 3))
-    x = AlgebraElement.zero(d, 3)
-    for _ in range(rng.randint(1, 3)):
-        x = x + AlgebraElement.from_word(d, 3, *rng.choice(words), _laurent(rng))
-    roll = rng.random()
-    if roll < 0.3:
-        x = idempotent_e(d, 3, rng.randint(1, 2)) * x
-    elif roll < 0.6:
-        x = x * inverse_g(d, 3, rng.randint(1, 2))
-    return x
-
-
 def _is_primitive(row):
     """Int content 1, lowest power of u 0, and no common factor in Q[u]."""
     coeffs = [v for c in row.values() for v in c.values()]
@@ -829,10 +848,10 @@ def test_span_matches_the_ratfunc_rows(d):
     span, ref = _Span(), _Rows()
     elems, ranks, members = [], set(), set()
     for step in range(24):
-        x = _random_element(rng, d)
+        x = random_laurent_element(rng, d)
         if len(elems) >= 2 and step % 3 == 2:
             a, b = rng.sample(elems, 2)
-            x = a.scale(_laurent(rng)) + b.scale(_laurent(rng))
+            x = a.scale(random_laurent(rng)) + b.scale(random_laurent(rng))
         if step % 2:  # membership only
             member = not span.reduce(x.terms)
             assert member is not ref.reduce(_vec(x)), step
@@ -845,6 +864,48 @@ def test_span_matches_the_ratfunc_rows(d):
         assert len(span.rows) == len(ref.rows)
         assert all(_is_primitive(row) for row in span.rows.values())
     assert ranks == members == {True, False}
+
+
+def _ratvec(vec):
+    return {c: sum((v * U ** e for e, v in p.items()), RatFunc.const(0))
+            for c, p in vec.items()}
+
+
+def test_span_steps_on_unit_pivots_with_a_power_of_u():
+    # rows whose pivot entry is +-u^k with k != 0 after _primitive: each
+    # vector's smallest column holds +-u^k and a later one a lower power.
+    # Inserted from the last pivot column down, every later vector meets the
+    # rows stored before it only at their unit pivots.  Rank and membership
+    # are checked against _Rows over Q(u)
+    rng = random.Random(4500)
+    span, ref = _Span(), _Rows()
+    vecs = []
+    for col in range(11, -1, -1):
+        vec = {col: {rng.randint(1, 3): rng.choice((1, -1))}}
+        for c in rng.sample(range(col + 1, 14), min(3, 13 - col)):
+            vec[c] = {rng.randint(-2, 0): rng.choice((-2, -1, 1, 3)), 1: rng.randint(1, 2)}
+        vec[13] = {-1: rng.choice((1, -1))}  # a lower power in every vector
+        assert (span.insert(vec) is not None) is ref.insert(_ratvec(vec))
+        vecs.append(vec)
+    units = [k for col, row in span.rows.items() for k, v in row[col].items()
+             if len(row[col]) == 1 and abs(v) == 1]
+    assert len(units) == len(span.rows) == 12 and all(units)
+    members = set()
+    for _ in range(40):
+        vec = {}
+        if rng.random() < 0.5:  # a combination of the vectors: in the span
+            for x in rng.sample(vecs, 3):
+                k = rng.choice(({0: 1}, {-1: 2}, {2: -1, 0: 1}))
+                for c, p in x.items():
+                    _bump(vec, c, _lmul(p, k))
+        else:  # a seeded vector: almost never in the span
+            for c in rng.sample(range(14), 4):
+                vec[c] = {rng.randint(-2, 2): rng.choice((-1, 1, 2))}
+        vec = {c: p for c, p in vec.items() if p}
+        member = not span.reduce(vec)
+        assert member is not ref.reduce(_ratvec(vec))
+        members.add(member)
+    assert members == {True, False}
 
 
 def _ref_primitive(vec):
