@@ -129,7 +129,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-@functools.lru_cache(maxsize=None)
+# No argument, so one key: tier-1 and cli_cache hold 1; 8 is over 4x that.
+@functools.lru_cache(maxsize=8)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared.  It holds no
     environment values: main() reads FRAMELINK_CACHE on every call."""

@@ -45,7 +45,10 @@ def ascends(p: Perm, i: int) -> bool:
     return p[i - 1] < p[i]
 
 
-@functools.lru_cache(maxsize=None)
+# Tier-1 fills 39 keys in one process, the workloads at most 9 (warm-up +
+# 3,000 requests, 600 for cli_cache, seeds 911-913); 256 is over 4x the
+# largest.
+@functools.lru_cache(maxsize=256)
 def reduced_word(p: Perm) -> tuple[int, ...]:
     """A reduced word (i_1, ..., i_m) with p = s_{i_1} ∘ ... ∘ s_{i_m}.
 

@@ -18,13 +18,13 @@ solution of D exactly when y = (d/|D|) 1_D.  YTL passes when y has that
 shape with |D| <= 2 and z is -1/(u+1) or -1 for |D| = 1, -1/2 for
 |D| = 2.  FTL passes when every nonzero y_k is -dz or -dz(u+1), with
 z = -1/(|D_1| + (u+1)|D_2|) for the two blocks D_1, D_2 of the support.
-All three closed forms run in the integer kernel of the scan below, with
-no RatFunc built: z = P / Q and every x_m = X_m / S are split over
-Z[u, w], w = zeta_M with M = lcm(L, d), so S y_k = sum_m X_m w^(-k m M/d)
-is a sum of shifted integer polynomials, and each comparison is a
-polynomial identity, cross-multiplied and tested for zero mod Phi_M(w):
-y_k == -dz is Y_k Q + d S P == 0, z == -1/(u+1) is (u+1) P + Q == 0.  An x
-rational in u takes the same path, with S a polynomial.
+All three closed forms read the check's integer form (below), with no
+RatFunc built: with z = P / Q and x_m = X_m / S, S y_k =
+sum_m X_m w^(-k m M/d) is a sum of shifted integer polynomials, and each
+comparison is a polynomial identity, cross-multiplied and given to the
+zero test: y_k == -dz is Y_k Q + d S P == 0, z == -1/(u+1) is
+(u+1) P + Q == 0.  An x rational in u takes the same path, with S a
+polynomial.
 
 CTL passes when (u+1) z^2 sum_k x_k + (u+2) z sum_k tr(e_1^{(k)})
 + sum_k tr(e_1^{(k)} e_2) = 0, with e_1^{(k)} = t_1^k e_1.  These are
@@ -61,16 +61,20 @@ made primitive when it is stored (by an integer pseudo-remainder gcd of
 its entries), and a RatFunc is built only for a kept word, whose value may
 be a witness.  A primitive row's pivot is most often a unit +-u^k, and a
 step on it subtracts (vec[col] / p) row, exact in Z[u, u^-1], with no
-scaling and no content to remove.  A check's z and x, values in
-Q(zeta_L)(u) with L the lcm of their conductors, are split as P / Q over
-Z[u, w], w = zeta_L, so a kept value times the Q^top of its variables is
-N = sum c(u) prod P^e Q^(top-e), and it vanishes exactly when every
-u-coefficient of N is 0 mod Phi_L(w).  The table P^e Q^(top-e) of one value
-depends on (P, Q, L, top) alone and is built once per process
-(_power_table); the values recur, since x comes from the E-system
-solutions and z from the passing families.  RatFunc.substitute runs only
-for the witness value of the first failing word, which quotient_report
-prints.
+scaling and no content to remove.
+
+Both criteria read one integer form per check (QuotientCheck.integer_form,
+built on first use): z and each x, values in Q(zeta_L)(u) with L the lcm
+of their conductors, are split once as P / Q over Z[u, w], w = zeta_M with
+M = lcm(d, L).  A kept value times the Q^top of its variables is
+N = sum c(u) prod P^e Q^(top-e); the table P^e Q^(top-e) of one value
+depends on (P, Q, M, top) alone and is built once per process
+(_power_table), since the values recur: x comes from the E-system
+solutions and z from the passing families.  One zero test, _vanishes,
+decides the scan and every closed-form comparison: is sum a_i b_i, with
+a_i in Z[u, u^-1] and b_i in Z[u, w], 0 mod Phi_M(w) in every
+u-coefficient?  RatFunc.substitute runs only for the witness value of the
+first failing word, which quotient_report prints.
 
 ideal_inclusion decides the chain of the three defining ideals in the same
 echelon, without the pair loop: it closes the span of one generator under
@@ -101,6 +105,7 @@ from .esystem import MAX_MODULUS, check_modulus
 from .scalars import (
     Cyclotomic,
     RatFunc,
+    _zx_divexact,
     cyclotomic_polynomial,
     laurent_ratfunc,
 )
@@ -135,6 +140,16 @@ class QuotientCheck:
             if v.variables() - {"u"}:
                 raise ValueError(f"a quotient parameter may hold no variable but u, "
                                  f"got {v.render()}")
+
+    @functools.cached_property
+    def integer_form(self) -> tuple:
+        """(M, ((P, Q) for z, x_1, ..., x_{d-1})), built on first use: each
+        value split once by _split over Z[u, w], w = zeta_M, with
+        M = lcm(d, L) and L the lcm of the conductors of its coefficients."""
+        values = (self.zval, *self.xs)
+        M = math.lcm(self.d, *(c.m for v in values for poly in (v.num, v.den)
+                               for c in poly.terms.values() if type(c) is Cyclotomic))
+        return M, tuple(_split(v, M) for v in values)
 
     def substitution(self) -> dict[str, RatFunc]:
         out = {"z": self.zval}
@@ -198,29 +213,23 @@ def _generic_scan(kind: str, d: int) -> tuple:
     return tuple(tops), tuple(kept)
 
 
-def _kernel_mul(a: dict, b: dict, L: int) -> dict:
-    """a * b for polynomials {(u exponent, w exponent): int} with w^L = 1."""
+def _kernel_mul(a: dict, b: dict, M: int) -> dict:
+    """a * b for polynomials {(u exponent, w exponent): int} with w^M = 1."""
     out: dict = {}
     for (e1, k1), c1 in a.items():
         for (e2, k2), c2 in b.items():
-            key = (e1 + e2, (k1 + k2) % L)
+            key = (e1 + e2, (k1 + k2) % M)
             out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
 _KERNEL_ONE = {(0, 0): 1}
+_ONE = {0: 1}  # the Laurent polynomial 1 of a zero-test part
 
 
-def _conductor(values) -> int:
-    """The lcm of the conductors of the coefficients of values, 1 when all
-    are rational."""
-    return math.lcm(*(c.m for v in values for poly in (v.num, v.den)
-                      for c in poly.terms.values() if type(c) is Cyclotomic))
-
-
-def _split(value: RatFunc, L: int) -> tuple[dict, dict]:
+def _split(value: RatFunc, M: int) -> tuple[dict, dict]:
     """value = P / Q with P, Q polynomials {(u exponent, w exponent): int} in u
-    and w = zeta_L, L a multiple of the conductor of value; one integer
+    and w = zeta_M, M a multiple of the conductor of value; one integer
     clears the denominators of both."""
     coeffs = list(value.num.terms.values()) + list(value.den.terms.values())
     scale = math.lcm(*(q.denominator for c in coeffs
@@ -230,29 +239,34 @@ def _split(value: RatFunc, L: int) -> tuple[dict, dict]:
         part = {}
         for mono, c in poly.terms.items():
             e = mono[0][1] if mono else 0
-            if type(c) is Cyclotomic:  # zeta_m = w^(L/m)
+            if type(c) is Cyclotomic:  # zeta_m = w^(M/m)
                 for j, cj in enumerate(c.c):
                     if cj:
-                        part[(e, j * (L // c.m))] = cj.numerator * (scale // cj.denominator)
+                        part[(e, j * (M // c.m))] = cj.numerator * (scale // cj.denominator)
             else:
                 part[(e, 0)] = c.numerator * (scale // c.denominator)
         out.append(part)
     return out[0], out[1]
 
 
-def _vanishes_mod(total: dict, L: int) -> bool:
-    """Is a polynomial {(u exponent, w exponent < L): int} zero, w = zeta_L:
-    is every u-coefficient 0 mod Phi_L(w)?"""
-    if L == 1:
-        return not any(total.values())
-    phi = [int(c) for c in cyclotomic_polynomial(L)]  # monic, integral
+def _vanishes(parts, M: int) -> bool:
+    """Is sum a b over the parts (a, b) zero, with a a Laurent polynomial
+    {u exponent: int} and b a polynomial {(u exponent, w exponent < M): int}
+    in u and w = zeta_M: is every u-coefficient 0 mod Phi_M(w)?"""
+    total: dict = {}
+    for a, b in parts:
+        for e1, c1 in a.items():
+            for (e2, k), c2 in b.items():
+                key = (e1 + e2, k)
+                total[key] = total.get(key, 0) + c1 * c2
+    phi = cyclotomic_polynomial(M)  # monic, integral
     deg = len(phi) - 1
     rows: dict = {}
     for (e, k), c in total.items():
         if c:
-            rows.setdefault(e, [0] * L)[k] += c
+            rows.setdefault(e, [0] * M)[k] += c
     for row in rows.values():
-        for j in range(L - 1, deg - 1, -1):  # w^j -= w^(j-deg) Phi_L(w)
+        for j in range(M - 1, deg - 1, -1):  # w^j -= w^(j-deg) Phi_M(w)
             c = row[j]
             if c:
                 for i in range(deg):
@@ -262,75 +276,50 @@ def _vanishes_mod(total: dict, L: int) -> bool:
     return True
 
 
-# One entry per value (P, Q, L, top).  z and x come from finite families (the
+# One entry per value (P, Q, M, top).  z and x come from finite families (the
 # E-system solutions, the passing values of z), so values recur: tier-1 fills
-# 190 keys in one process, and quotient_grid 140-147 after warm-up and 3,000
-# requests and 187 after 40,000 (seeds 911-913).  1,024 is over 4x the
-# largest, and an evicted table is only rebuilt.
+# 196 keys in one process, and quotient_grid 210-218 after warm-up and 3,000
+# requests (seeds 911-913) and 251 after 40,000 (seed 911).  1,024 is over 4x
+# the largest, and an evicted table is only rebuilt.
 @functools.lru_cache(maxsize=1024)
-def _power_table(p: tuple, q: tuple, L: int, top: int) -> tuple:
+def _power_table(p: tuple, q: tuple, M: int, top: int) -> tuple:
     """P^e Q^(top-e) for e = 0..top, with P and Q given by their dict items;
     the tables are shared, so they are never changed."""
     p, q = dict(p), dict(q)
     ps, qs = [_KERNEL_ONE], [_KERNEL_ONE]
     for _ in range(top):
-        ps.append(_kernel_mul(ps[-1], p, L))
-        qs.append(_kernel_mul(qs[-1], q, L))
-    return tuple(_kernel_mul(ps[e], qs[top - e], L) for e in range(top + 1))
-
-
-class _Specialization:
-    """One check's z and x in the integer kernel, for the zero test of forms.
-
-    Each value is split as P / Q over Z[u, w], w = zeta_L with L the lcm of
-    the conductors of the check's coefficients (1 when all are rational),
-    and w^L = 1 is used while multiplying.  A variable of top exponent t
-    gives the table P^e Q^(t-e), e = 0..t, built once; the value of a form
-    times the product of the Q^t is then N = sum c(u) * prod of table
-    entries, and it vanishes exactly when N is 0 mod Phi_L(w).
-    """
-
-    def __init__(self, check: QuotientCheck, tops: tuple):
-        values = (check.zval,) + check.xs
-        self.L = L = _conductor(values)
-        self.tables = []
-        for v, top in zip(values, tops):
-            p, q = _split(v, L)
-            self.tables.append(_power_table(tuple(p.items()), tuple(q.items()), L, top))
-        self.memo: dict = {}
-
-    def _monomial(self, exps: tuple) -> dict:
-        out = self.memo.get(exps)
-        if out is None:
-            for table, e in zip(self.tables, exps):
-                if len(table) > 1:
-                    out = table[e] if out is None else _kernel_mul(out, table[e], self.L)
-            if out is None:
-                out = _KERNEL_ONE
-            self.memo[exps] = out
-        return out
-
-    def vanishes(self, form: dict) -> bool:
-        """Does the value of a kernel form vanish at this z and x?"""
-        total: dict = {}
-        for exps, coeff in form.items():
-            mono = self._monomial(exps)
-            for e1, c1 in coeff.items():
-                for (e2, k), c2 in mono.items():
-                    key = (e1 + e2, k)
-                    total[key] = total.get(key, 0) + c1 * c2
-        return _vanishes_mod(total, self.L)
+        ps.append(_kernel_mul(ps[-1], p, M))
+        qs.append(_kernel_mul(qs[-1], q, M))
+    return tuple(_kernel_mul(ps[e], qs[top - e], M) for e in range(top + 1))
 
 
 def _first_failure(check: QuotientCheck):
     """(word, generic value) of the first kept word whose substituted value
-    does not vanish, or None."""
+    does not vanish, or None.
+
+    A variable of top exponent t gives the table P^e Q^(t-e), e = 0..t, of
+    its split; the value of a form times the product of the Q^t is then
+    N = sum c(u) * prod of table entries, one zero-test part per monomial.
+    Each monomial's product is built once per check."""
     if not _conjugation_certificate(check.d):
         raise AssertionError("trace conjugation certificate failed")
     tops, kept = _generic_scan(check.kind, check.d)
-    spec = _Specialization(check, tops)
+    M, split = check.integer_form
+    tables = [_power_table(tuple(p.items()), tuple(q.items()), M, top)
+              for (p, q), top in zip(split, tops)]
+    memo: dict = {}
+
+    def monomial(exps: tuple) -> dict:
+        out = memo.get(exps)
+        if out is None:
+            for table, e in zip(tables, exps):
+                if len(table) > 1:
+                    out = table[e] if out is None else _kernel_mul(out, table[e], M)
+            memo[exps] = out = _KERNEL_ONE if out is None else out
+        return out
+
     for word, generic, form in kept:
-        if not spec.vanishes(form):
+        if not _vanishes([(coeff, monomial(exps)) for exps, coeff in form.items()], M):
             return word, generic
     return None
 
@@ -384,110 +373,87 @@ def quotient_report(check: QuotientCheck) -> dict:
 # -- closed-form characterizations ------------------------------------------
 
 
-class _ClosedForm:
-    """One check's z and Fourier transform over Z[u, w], w = zeta_M with
-    M = lcm(L, d), L the lcm of the conductors of its coefficients.
-
-    z = P / Q, and x_m = X_m / S with S the product of the distinct
-    denominators of x_1..x_{d-1} (X_0 = S), all split by _split; then
-    Y_k = S y_k = sum_m X_m w^(-k m M/d) needs no product.  Every comparison
-    of the closed forms is a polynomial identity, cross-multiplied and
-    tested by vanishes.
-    """
-
-    def __init__(self, check: QuotientCheck):
-        self.d = check.d
-        self.M = M = math.lcm(_conductor((check.zval,) + check.xs), check.d)
-        self.p, self.q = _split(check.zval, M)
-        splits = [_split(v, M) for v in check.xs]
-        dens: list = []
-        for _, qm in splits:
-            if qm not in dens:
-                dens.append(qm)
-        self.S = _KERNEL_ONE
-        for qm in dens:
-            self.S = _kernel_mul(self.S, qm, M)
-        self.X = [self.S]
-        for pm, qm in splits:
-            for other in dens:
-                if other != qm:
-                    pm = _kernel_mul(pm, other, M)
-            self.X.append(pm)
-
-    def y(self, k: int) -> dict:
-        """Y_k = S y_k."""
-        M = self.M
-        step = M // self.d
-        out: dict = {}
-        for m, xm in enumerate(self.X):
+def _fourier(check: QuotientCheck) -> tuple:
+    """(M, P, Q, S, [Y_0, ..., Y_{d-1}]) from the integer form: z = P / Q,
+    and x_m = X_m / S with S the product of the distinct denominators of
+    x_1..x_{d-1} (X_0 = S), so Y_k = S y_k = sum_m X_m w^(-k m M/d) needs
+    no product."""
+    M, ((p, q), *xs) = check.integer_form
+    dens: list = []
+    for _, qm in xs:
+        if qm not in dens:
+            dens.append(qm)
+    S = _KERNEL_ONE
+    for qm in dens:
+        S = _kernel_mul(S, qm, M)
+    X = [S]
+    for pm, qm in xs:
+        for other in dens:
+            if other != qm:
+                pm = _kernel_mul(pm, other, M)
+        X.append(pm)
+    step = M // check.d
+    ys = []
+    for k in range(check.d):
+        y: dict = {}
+        for m, xm in enumerate(X):
             shift = -k * m * step
             for (e, j), c in xm.items():
                 key = (e, (j + shift) % M)
-                out[key] = out.get(key, 0) + c
-        return out
-
-    def vanishes(self, *parts) -> bool:
-        """Is the sum of c u^s poly over the parts (poly, c, s) zero?"""
-        total: dict = {}
-        for poly, c, s in parts:
-            for (e, k), v in poly.items():
-                key = (e + s, k)
-                total[key] = total.get(key, 0) + c * v
-        return _vanishes_mod(total, self.M)
+                y[key] = y.get(key, 0) + c
+        ys.append(y)
+    return M, p, q, S, ys
 
 
 def _ytl_admissible(check: QuotientCheck) -> bool:
     """y = (d/s) 1_D with s = |D| <= 2: s Y_k - d S is 0 on the support; and
     z = -1/(u+1) or -1 for s = 1, -1/2 for s = 2: (u+1) P + Q, P + Q or
     2 P + Q is 0."""
-    cf = _ClosedForm(check)
-    p, q = cf.p, cf.q
-    ys = [y for y in map(cf.y, range(check.d)) if not cf.vanishes((y, 1, 0))]
+    M, p, q, S, ys = _fourier(check)
+    ys = [y for y in ys if not _vanishes([(_ONE, y)], M)]
     if len(ys) == 1:
-        zs = (((p, 1, 1), (p, 1, 0), (q, 1, 0)), ((p, 1, 0), (q, 1, 0)))
+        zs = ([({0: 1, 1: 1}, p), (_ONE, q)], [(_ONE, p), (_ONE, q)])
     elif len(ys) == 2:
-        zs = (((p, 2, 0), (q, 1, 0)),)
+        zs = ([({0: 2}, p), (_ONE, q)],)
     else:
         return False
-    return (any(cf.vanishes(*z) for z in zs)
-            and all(cf.vanishes((y, len(ys), 0), (cf.S, -check.d, 0)) for y in ys))
+    return (any(_vanishes(z, M) for z in zs)
+            and all(_vanishes([({0: len(ys)}, y), ({0: -check.d}, S)], M) for y in ys))
 
 
 def _ftl_admissible(check: QuotientCheck) -> bool:
     """Every nonzero y_k is -dz or -dz(u+1): Y_k Q + d S P or
     Y_k Q + d (u+1) S P is 0; and z = -1/(n1 + (u+1) n2) for the counts n1,
     n2 of each: (n1 + n2 + n2 u) P + Q is 0."""
-    cf = _ClosedForm(check)
-    d, p = check.d, cf.p
-    sp = _kernel_mul(cf.S, p, cf.M)
+    M, p, q, S, ys = _fourier(check)
+    d = check.d
+    sp = _kernel_mul(S, p, M)
     n1 = n2 = 0
     # the support is never empty (sum_k y_k = d), and the two values are
     # distinct for z != 0; for z = 0 no nonzero y_k takes either
-    for k in range(d):
-        y = cf.y(k)
-        if cf.vanishes((y, 1, 0)):
+    for y in ys:
+        if _vanishes([(_ONE, y)], M):
             continue
-        yq = _kernel_mul(y, cf.q, cf.M)
-        if cf.vanishes((yq, 1, 0), (sp, d, 0)):
+        yq = _kernel_mul(y, q, M)
+        if _vanishes([(_ONE, yq), ({0: d}, sp)], M):
             n1 += 1
-        elif cf.vanishes((yq, 1, 0), (sp, d, 0), (sp, d, 1)):
+        elif _vanishes([(_ONE, yq), ({0: d, 1: d}, sp)], M):
             n2 += 1
         else:
             return False
-    return cf.vanishes((p, n1 + n2, 0), (p, n2, 1), (cf.q, 1, 0))
+    return _vanishes([({0: n1 + n2, 1: n2}, p), (_ONE, q)], M)
 
 
 def _ctl_admissible(check: QuotientCheck) -> bool:
     """y_0 (z + w)((u+1) z + w) = 0 with w = y_0/d: Y_0, d S P + Y_0 Q or
     d S (u+1) P + Y_0 Q is 0."""
-    cf = _ClosedForm(check)
+    M, p, q, S, (y0, *_) = _fourier(check)
     d = check.d
-    y0 = cf.y(0)
-    if cf.vanishes((y0, 1, 0)):
+    if _vanishes([(_ONE, y0)], M):
         return True
-    sp, yq = _kernel_mul(cf.S, cf.p, cf.M), _kernel_mul(y0, cf.q, cf.M)
-    return (cf.vanishes((sp, d, 0), (yq, 1, 0))
-            or cf.vanishes((sp, d, 0), (sp, d, 1), (yq, 1, 0)))
+    sp, yq = _kernel_mul(S, p, M), _kernel_mul(y0, q, M)
+    return (_vanishes([({0: d}, sp), (_ONE, yq)], M)
+            or _vanishes([({0: d, 1: d}, sp), (_ONE, yq)], M))
 
 
 def admissible(check: QuotientCheck) -> bool:
@@ -539,19 +505,6 @@ def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
             return b
         a, b = b, _zx_primitive(rem)
     return [1]
-
-
-def _zx_divexact(c: list[int], g: list[int]) -> list[int]:
-    """c / g in Z[u], for a g that divides c in Z[u]."""
-    rem, top = list(c), len(g) - 1
-    quot = [0] * (len(c) - top)
-    for k in range(len(quot) - 1, -1, -1):  # an inexact step leaves rem[k + top]
-        quot[k] = q = rem[k + top] // g[-1]
-        for i, v in enumerate(g):
-            rem[k + i] -= q * v
-    if any(rem):
-        raise AssertionError("inexact division in Z[u]")
-    return quot
 
 
 def _primitive(vec: dict) -> dict:

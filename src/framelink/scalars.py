@@ -29,9 +29,9 @@ is the one way from that kernel to a ``RatFunc``, built already normalized
 ``RatFunc`` arithmetic runs where a division happens: lambda_D itself, the
 z and x values that a ``Tracer`` substitutes, the one witness value a
 failing quotient check prints, parsing and ``HalfPowerValue``.  The quotient
-layer decides without it: its closed forms and its scan reduce integer
-polynomials in u and zeta_L modulo ``cyclotomic_polynomial(L)``, and its
-elimination is fraction-free over Z[u, u^-1], with an integer gcd.
+layer decides without it: its one zero test reduces integer polynomials
+in u and zeta_M modulo ``cyclotomic_polynomial(M)``, and its elimination
+is fraction-free over Z[u, u^-1], with an integer gcd.
 
 A normalized ``RatFunc`` with a constant denominator holds the shared
 ``_POLY_ONE``, so products and sums of polynomials skip normalization by an
@@ -43,12 +43,15 @@ they call it; ``_as_coeff`` turns an ``int`` coefficient into a ``Fraction``
 and refuses any other type, floats included.
 
 One power routine, ``_power``, serves every type (algebra elements too);
-one Euclid on dense coefficient lists, ``_uni_divmod``, serves the
-cyclotomic polynomials, ``Cyclotomic.inverse`` and the univariate gcd; and
-``RatFunc.const`` is the one coercion to ``RatFunc``.
+one Euclid on dense coefficient lists, ``_uni_divmod``, serves
+``Cyclotomic.inverse`` and the univariate gcd; Z[x] has one exact
+division, ``_zx_divexact``, which builds the cyclotomic polynomials (their
+coefficients are ints) and divides out the quotient layer's content gcd;
+and ``RatFunc.const`` is the one coercion to ``RatFunc``.
 
 ``parse_ratfunc`` reads back everything ``RatFunc.render`` emits (and a bit
-more: whitespace, explicit ``+``/``-`` chains, ``zeta<m>`` tokens).
+more: whitespace, explicit ``+``/``-`` chains, ``zeta<m>`` tokens with
+m <= ``MAX_ZETA``).
 """
 from __future__ import annotations
 
@@ -107,6 +110,20 @@ def _uni_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
     return _uni_trim(quot), rem
 
 
+def _zx_divexact(c: list[int], g: list[int]) -> list[int]:
+    """c / g in Z[x], for a g that divides c in Z[x]: the one exact division
+    of integer coefficient lists."""
+    rem, top = list(c), len(g) - 1
+    quot = [0] * (len(c) - top)
+    for k in range(len(quot) - 1, -1, -1):  # an inexact step leaves rem[k + top]
+        quot[k] = q = rem[k + top] // g[-1]
+        for i, v in enumerate(g):
+            rem[k + i] -= q * v
+    if any(rem):
+        raise AssertionError("inexact division in Z[x]")
+    return quot
+
+
 def _power(base, e: int, one):
     """base^e for e >= 0 by repeated squaring; one is the unit of base's ring."""
     out = one
@@ -119,32 +136,27 @@ def _power(base, e: int, one):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Monic ascending coefficients of the m-th cyclotomic polynomial.
+# This cache and the next, keyed on conductors: tier-1 fills 38 and 526
+# keys in one process, the workloads at most 3 and 6 (warm-up + 3,000
+# requests, 600 for cli_cache, seeds 911-913).  Each bound is over 4x the
+# largest.
+@functools.lru_cache(maxsize=256)
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Monic ascending integer coefficients of the m-th cyclotomic polynomial.
 
-    Computed by dividing x^m - 1 by the cyclotomic polynomials of the proper
-    divisors of m; exact, and cached.
+    Computed by dividing x^m - 1 exactly in Z[x] by the cyclotomic
+    polynomials of the proper divisors of m; cached.
     """
     if m < 1:
         raise ValueError("conductor must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    num = [-1] + [0] * (m - 1) + [1]
     for e in range(1, m):
         if m % e == 0:
-            num, rem = _uni_divmod(num, list(cyclotomic_polynomial(e)))
-            if rem:
-                raise AssertionError("cyclotomic division left a remainder")
+            num = _zx_divexact(num, cyclotomic_polynomial(e))
     return tuple(num)
 
 
-@functools.lru_cache(maxsize=None)
-def _reduction_vector(m: int) -> tuple[Fraction, ...]:
-    """x^deg(Phi_m) expressed in the power basis mod Phi_m."""
-    phi = cyclotomic_polynomial(m)
-    return tuple(-c for c in phi[:-1])
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _power_vector(m: int, e: int) -> tuple[Fraction, ...]:
     """x^e mod Phi_m as a full coefficient vector of length deg(Phi_m)."""
     deg = len(cyclotomic_polynomial(m)) - 1
@@ -155,15 +167,14 @@ def _power_vector(m: int, e: int) -> tuple[Fraction, ...]:
 
 
 def _reduce_in_place(m: int, vec: list[Fraction], deg: int) -> None:
-    red = _reduction_vector(m)
+    phi = cyclotomic_polynomial(m)
     for j in range(len(vec) - 1, deg - 1, -1):
         c = vec[j]
-        if c:
+        if c:  # x^j -= x^(j-deg) Phi_m(x)
             vec[j] = Fraction(0)
-            base = j - deg
-            for i, r in enumerate(red):
-                if r:
-                    vec[base + i] += c * r
+            for i, p in zip(range(j - deg, j), phi):
+                if p:
+                    vec[i] -= c * p
     del vec[deg:]
 
 
@@ -273,9 +284,9 @@ class Cyclotomic:
 
     def inverse(self) -> "Cyclotomic":
         # extended Euclid: maintain r_i = s_i*self (mod Phi); Phi irreducible,
-        # so the last nonzero remainder is a constant
-        phi = list(cyclotomic_polynomial(self.m))
-        r0, r1 = phi, _uni_trim(list(self.c))
+        # so the last nonzero remainder is a constant.  Of two consecutive
+        # remainders one is all Fraction, so no division is int / int
+        r0, r1 = list(cyclotomic_polynomial(self.m)), _uni_trim(list(self.c))
         s0, s1 = [], [Fraction(1)]
         while r1:
             q, r = _uni_divmod(r0, r1)
@@ -359,7 +370,10 @@ Mono = tuple[tuple[str, int], ...]  # ((var, exp), ...) sorted by variable rank
 _MONO_ONE: Mono = ()
 
 
-@functools.lru_cache(maxsize=None)
+# One key per variable name, and parse_ratfunc takes any identifier: tier-1
+# fills 6, the workloads 2 (warm-up + 3,000 requests, 600 for cli_cache,
+# seeds 911-913); 64 is over 4x the largest.
+@functools.lru_cache(maxsize=64)
 def _var_rank(name: str):
     if name == "u":
         return (0, 0, "")
@@ -988,6 +1002,12 @@ class HalfPowerValue:
 # ---------------------------------------------------------------------------
 
 
+# The largest m of a parsed zeta<m>.  Phi_m costs ~m^2 steps to build, and
+# zeta30030 would take about a minute; the lcm of two moduli d <= 32, at
+# most 992, is the largest conductor the engine forms from its own values.
+MAX_ZETA = 1024
+
+
 def _tokenize(text: str) -> list[str]:
     tokens = []
     i, n = 0, len(text)
@@ -1074,7 +1094,10 @@ class _Parser:
         if tok.isdigit():
             return RatFunc.const(int(tok))
         if tok.startswith("zeta") and tok[4:].isdigit():
-            return RatFunc.const(Cyclotomic.root_of_unity(int(tok[4:])))
+            m = int(tok[4:])
+            if m > MAX_ZETA:
+                raise ValueError(f"zeta{m} exceeds the budget of zeta{MAX_ZETA}")
+            return RatFunc.const(Cyclotomic.root_of_unity(m))
         if tok.isidentifier():
             return RatFunc.var(tok)
         raise ValueError(f"unexpected token {tok!r} in scalar expression")

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from framelink import quotients
 from framelink.algebra import (
     AlgebraElement,
     _bump,
@@ -30,15 +31,17 @@ from framelink.esystem import (
 from framelink.quotients import (
     KINDS,
     QuotientCheck,
+    _KERNEL_ONE,
     _Span,
-    _Specialization,
     _conjugation_certificate,
     _content_free,
     _deep_scan,
     _generic_scan,
+    _kernel_mul,
     _same_trace,
     _primitive,
     _scan,
+    _vanishes,
     _zx_gcd,
     admissible,
     ideal_inclusion,
@@ -54,6 +57,7 @@ from framelink.scalars import (
     _uni_divmod,
     _uni_gcd,
     _uni_poly_gcd,
+    cyclotomic_polynomial,
     x_var,
 )
 from framelink.trace import Tracer
@@ -615,21 +619,89 @@ def _kernel_points(rng):
                              Cyclotomic.root_of_unity(3, rng.randint(1, 2))))
 
 
+def _conductor(check):
+    """The lcm of the conductors of a check's coefficients, 1 when all are
+    rational."""
+    return math.lcm(*(c.m for v in (check.zval, *check.xs) for poly in (v.num, v.den)
+                      for c in poly.terms.values() if type(c) is Cyclotomic))
+
+
 def test_kernel_zero_test_matches_substitution():
-    # every kept word, not only the first failing one: the integer-kernel
-    # zero test against the substituted RatFunc value
+    # every kept word, not only the first failing one: the zero test on the
+    # integer form, each monomial multiplied out here, against the
+    # substituted RatFunc value
     rng = random.Random(3200)
     seen = set()
     for check in _kernel_points(rng):
         tops, kept = _generic_scan(check.kind, check.d)
-        spec = _Specialization(check, tops)
+        M, split = check.integer_form
         subs = check.substitution()
         for _, generic, form in kept:
+            parts = []
+            for exps, coeff in form.items():
+                mono = _KERNEL_ONE
+                for (p, q), e, top in zip(split, exps, tops):
+                    for factor in [p] * e + [q] * (top - e):
+                        mono = _kernel_mul(mono, factor, M)
+                parts.append((coeff, mono))
             zero = generic.substitute(subs).is_zero()
-            assert spec.vanishes(form) is zero, (check, generic)
-            seen.add((check.d, spec.L, zero))
-    assert seen >= {(1, 1, True), (1, 1, False), (2, 1, True), (2, 1, False),
-                    (3, 1, False), (3, 3, True), (3, 3, False), (3, 6, True), (3, 6, False)}
+            assert _vanishes(parts, M) is zero, (check, generic)
+            seen.add((check.d, _conductor(check), M, zero))
+    assert seen >= {(1, 1, 1, True), (1, 1, 1, False), (2, 1, 2, True), (2, 1, 2, False),
+                    (3, 1, 3, False), (3, 3, 3, True), (3, 3, 3, False),
+                    (3, 6, 6, True), (3, 6, 6, False)}
+
+
+@pytest.mark.parametrize("M", range(1, 13))
+def test_zero_test_matches_cyclotomic_evaluation(M):
+    # seeded parts in Z[u, w] whose w exponents go past deg Phi_M, alone and
+    # with multiples u^e w^s Phi_M(w) added, against each u-coefficient's
+    # value in Q(zeta_M); a part that is only such multiples is zero
+    rng = random.Random(2500 + M)
+    phi = cyclotomic_polynomial(M)
+    outcomes = set()
+    for trial in range(60):
+        parts = []
+        if trial % 3:
+            for _ in range(rng.randint(1, 3)):
+                a = {rng.randint(-2, 2): rng.randint(-3, 3)}
+                b = {(rng.randint(0, 2), rng.randrange(M)): rng.randint(-3, 3)
+                     for _ in range(rng.randint(1, 4))}
+                parts.append((a, b))
+        for _ in range(rng.randint(0 if trial % 3 else 1, 3)):
+            a = {rng.randint(-1, 1): rng.randint(1, 3), rng.randint(2, 3): rng.randint(-3, 3)}
+            e, s = rng.randint(-1, 2), rng.randrange(M)
+            b: dict = {}
+            for i, c in enumerate(phi):  # w^M = 1, so exponents wrap
+                b[(e, (s + i) % M)] = b.get((e, (s + i) % M), 0) + c
+            parts.append((a, b))
+        values: dict = {}
+        for a, b in parts:
+            for e1, c1 in a.items():
+                for (e2, k), c2 in b.items():
+                    values[e1 + e2] = (values.get(e1 + e2, 0)
+                                       + c1 * c2 * Cyclotomic.root_of_unity(M, k))
+        zero = all(v == 0 for v in values.values())
+        assert _vanishes(parts, M) is zero, parts
+        outcomes.add((trial % 3 == 0, zero))
+    assert {(True, True), (False, False)} <= outcomes
+
+
+@pytest.mark.parametrize("kind,d", [(k, d) for d in (1, 2, 3) for k in KINDS])
+def test_each_value_is_split_once_per_check(monkeypatch, kind, d):
+    # constructing a check splits nothing; the closed form and the scan
+    # share one split of z and each x
+    calls = []
+    split = quotients._split
+    monkeypatch.setattr(quotients, "_split", lambda v, M: calls.append(M) or split(v, M))
+    sol = enumerate_solutions(d)[-1]
+    for z in (Fraction(-1, sol.size()), Z_TL, Fraction(3, 7)):
+        check = QuotientCheck(kind, d, z, sol.x[1:])
+        assert calls == []
+        admissible(check)
+        trace_vanishes_on_ideal(check)
+        assert len(calls) == d
+        calls.clear()
 
 
 @pytest.mark.parametrize("z,xs", [

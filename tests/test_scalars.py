@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from framelink import scalars
 from framelink.scalars import (
     Cyclotomic,
     HalfPowerValue,
@@ -34,10 +35,11 @@ def _poly_from_coeffs(coeffs):
 
 
 def test_small_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == (Fraction(-1), Fraction(1))
-    assert cyclotomic_polynomial(2) == (Fraction(1), Fraction(1))
-    assert cyclotomic_polynomial(4) == (Fraction(1), Fraction(0), Fraction(1))
-    assert cyclotomic_polynomial(6) == (Fraction(1), Fraction(-1), Fraction(1))
+    assert cyclotomic_polynomial(1) == (-1, 1)
+    assert cyclotomic_polynomial(2) == (1, 1)
+    assert cyclotomic_polynomial(4) == (1, 0, 1)
+    assert cyclotomic_polynomial(6) == (1, -1, 1)
+    assert all(type(c) is int for m in range(1, 33) for c in cyclotomic_polynomial(m))
 
 
 def test_cyclotomic_product_identity():
@@ -72,6 +74,28 @@ def test_field_axioms(m):
         assert (a * b) * c == a * (b * c)
         if a != 0:
             assert a * (1 / a) == Fraction(1)
+
+
+@pytest.mark.parametrize("m", range(3, 33))
+def test_inverse_has_fraction_coefficients(m, monkeypatch):
+    # Phi_m is integral and _uni_divmod divides: no step may be int / int,
+    # which is a float that the Cyclotomic constructor would take in
+    divmod_ = scalars._uni_divmod
+
+    def checked(a, b):
+        quot, rem = divmod_(a, b)
+        assert float not in {type(c) for c in (*quot, *rem)}, (a, b)
+        return quot, rem
+
+    monkeypatch.setattr(scalars, "_uni_divmod", checked)
+    rng = random.Random(700 + m)
+    values = [Cyclotomic.root_of_unity(m, k) for k in range(1, m)]
+    values += [_random_cyclotomic(rng, m) for _ in range(8)]
+    for v in values:
+        if type(v) is Cyclotomic:
+            inv = v.inverse()
+            assert all(type(c) is Fraction for c in inv.c), (v, inv.c)
+            assert v * inv == 1
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
@@ -374,6 +398,20 @@ def test_coefficients_are_fractions_or_cyclotomics():
     values += [parse_ratfunc(v.render()) for v in values[::4]]
     kinds = {type(c) for f in values for c in _coefficients(f)}
     assert kinds == {Fraction, Cyclotomic}
+
+
+def test_zeta_tokens_have_a_budget():
+    # refused before any Phi is asked for; the largest conductor the engine
+    # forms, lcm(31, 32) = 992, still parses back
+    for m in (1025, 30030):
+        asked = cyclotomic_polynomial.cache_info()
+        with pytest.raises(ValueError, match="budget of zeta1024") as exc:
+            parse_ratfunc(f"u + zeta{m}")
+        assert "\n" not in str(exc.value)
+        assert cyclotomic_polynomial.cache_info()[:2] == asked[:2]
+    value = RatFunc.const(Cyclotomic.root_of_unity(992)) * U
+    assert parse_ratfunc(value.render()) == value
+    assert parse_ratfunc("zeta992") == RatFunc.const(Cyclotomic.root_of_unity(992))
 
 
 def test_parse_rejects_garbage():
