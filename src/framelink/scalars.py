@@ -136,7 +136,7 @@ def _power(base, e: int, one):
     return out
 
 
-# This cache and the next, keyed on conductors: tier-1 fills 38 and 526
+# This cache and the next, keyed on conductors: tier-1 fills 38 and 164
 # keys in one process, the workloads at most 3 and 6 (warm-up + 3,000
 # requests, 600 for cli_cache, seeds 911-913).  Each bound is over 4x the
 # largest.
@@ -156,7 +156,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=1024)
 def _power_vector(m: int, e: int) -> tuple[Fraction, ...]:
     """x^e mod Phi_m as a full coefficient vector of length deg(Phi_m)."""
     deg = len(cyclotomic_polynomial(m)) - 1
