@@ -112,7 +112,7 @@ from .scalars import (
 from .trace import Tracer
 
 KINDS = ("ytl", "ftl", "ctl")
-_N = 3  # strands of the ideal criterion; n > 3 exceeds the budget
+_N = 3  # strands of the ideal criterion: witnesses and report bytes are pinned at 3
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ and ``RatFunc.const`` is the one coercion to ``RatFunc``.
 
 ``parse_ratfunc`` reads back everything ``RatFunc.render`` emits (and a bit
 more: whitespace, explicit ``+``/``-`` chains, ``zeta<m>`` tokens with
-m <= ``MAX_ZETA``).
+m <= ``MAX_ZETA``), with exponents of size at most ``MAX_EXPONENT``.
 """
 from __future__ import annotations
 
@@ -1006,6 +1006,9 @@ class HalfPowerValue:
 # zeta30030 would take about a minute; the lcm of two moduli d <= 32, at
 # most 992, is the largest conductor the engine forms from its own values.
 MAX_ZETA = 1024
+# The largest |e| of a parsed ^e, over 4x the u^122 of the Jones value of
+# s1^82; (u+1)^400 takes ~0.5 s, and ~4x more per doubling.
+MAX_EXPONENT = 512
 
 
 def _tokenize(text: str) -> list[str]:
@@ -1081,6 +1084,8 @@ class _Parser:
             if not tok.isdigit():
                 raise ValueError(f"expected integer exponent, got {tok!r}")
             e = int(tok)
+            if e > MAX_EXPONENT:
+                raise ValueError(f"^{e} exceeds the budget of ^{MAX_EXPONENT}")
             return base ** (-e if neg else e)
         return base
 

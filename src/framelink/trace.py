@@ -18,18 +18,17 @@ The structural reduction of a word is independent of the z and x values,
 so it is cached globally per (d, framings, permutation); a z-step holds the
 product A B in the algebra's integer kernel, Laurent coefficients over a
 denominator that is a power of d.  ``Tracer(d, xs, z)`` is the one
-evaluator, and it stays in that kernel too: the value of a word is a dict
-{(z exponent, x exponents, u exponent): coefficient} over a power of d,
-with int, Fraction or Cyclotomic coefficients, memoized per word.  When
-every x is a number (an int, Fraction or Cyclotomic is taken as it is, a
-constant RatFunc is read off) it multiplies in and the key holds no x
-exponents; otherwise x stays formal and adds to its exponent in the key.
-z stays formal.  ``Tracer.trace`` sums c_w tr(w) in the kernel and returns
-that value over its denominator, which the invariants and the quotient
-scans read as it is; ``Tracer.value`` alone builds its RatFunc and
-substitutes a given z, and x values that are not all numbers, into it.  One
-``trace`` call may make at most MAX_TRACE_PRODUCTS coefficient products,
-each weighted by its cost in int products, and is refused with a
+evaluator, and it stays in that kernel too: a word's value, memoized per
+word, is a dict {(z exponent, x exponents, u exponent): int} over a power
+of d, with z and x formal, and an x strip adds 1 to its exponent.
+``Tracer.trace`` sums c_w tr(w) in the kernel and returns that value over
+its denominator, which the invariants and the quotient scans read as it
+is.  When every x is a number (an int, Fraction or Cyclotomic is taken as
+it is, a constant RatFunc is read off), it multiplies them in once, at the
+end: c z^j x^k u^e becomes c prod x_m^(k_m) under the key (j, (), e).
+``Tracer.value`` alone builds its RatFunc and substitutes a given z, and x
+values that are not all numbers, into it.  One ``trace`` call may make at
+most MAX_TRACE_PRODUCTS int coefficient products, and is refused with a
 ValueError past them.
 """
 from __future__ import annotations
@@ -38,19 +37,16 @@ import math
 from fractions import Fraction
 
 from .algebra import AlgebraElement, _word_product
-from .scalars import Cyclotomic, RatFunc, cyclotomic_polynomial, laurent_ratfunc
+from .scalars import Cyclotomic, RatFunc, laurent_ratfunc
 
 _NUMBERS = (int, Fraction, Cyclotomic)
-# Coefficient products, counted as len(c) * len(value) per part of a z-step
-# sum and weighted by the Tracer's cost of one product (phi(m)^2 when the x
-# lie in Q(zeta_m), 1 otherwise), that one ``Tracer.trace`` call may make.
-# The largest calls make 12,662 int products and 50,292 units of Cyclotomic
-# ones (tier-1), 89,418 (`verify --what markov --d 3 --n 5`, 0.7 s) and
-# 752,832 (`verify --what markov --d 6 --n 4`, 2.9 s); the long framed word
-# "-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5" twice plus t1 t2 needs 4,691,700 at
-# d = 3, D = {0,1}, ~20 s of Cyclotomic products, and is refused after
-# ~2.7 s (2 vCPU, Python 3.11).
-MAX_TRACE_PRODUCTS = 1_000_000
+# Int coefficient products, len(c) * len(value) per part of a z-step sum,
+# that one ``Tracer.trace`` call may make, the same at every x.  The largest
+# calls of `verify --what markov` make 232,324 (`--d 3 --n 5`) and 402,228
+# (`--d 6 --n 4`); the long framed word "-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5"
+# twice plus t1 t2 needs 1,930,823 at d = 3 (~2 s) and 14,754,090 at d = 4,
+# refused after ~4 s (2 vCPU, Python 3.11).
+MAX_TRACE_PRODUCTS = 4_000_000
 
 # (d, frm, perm) -> ("x", m, (frm', perm')) | ("z", den, ((coeff, frm', perm'), ...)),
 # dropping its oldest key when full.  Tier-1 fills 14,611 keys in one process
@@ -93,10 +89,10 @@ class Tracer:
     xs lists x_1..x_{d-1} (x_0 = 1 always): an int, Fraction or Cyclotomic
     is taken as it is, anything else as a scalar convertible to RatFunc;
     None keeps them formal.  z stays formal unless given.  One ``trace``
-    call may make at most MAX_TRACE_PRODUCTS weighted coefficient products.
+    call may make at most MAX_TRACE_PRODUCTS int coefficient products.
     """
 
-    __slots__ = ("d", "_x", "_subs", "_unit", "_memo", "_work", "_weight")
+    __slots__ = ("d", "_x", "_subs", "_unit", "_memo", "_work")
 
     def __init__(self, d: int, xs=None, z=None):
         if d < 1:
@@ -109,23 +105,19 @@ class Tracer:
             if any(type(v) is RatFunc and v.variables() for v in xs):
                 subs.update((f"x{m}", RatFunc.const(v)) for m, v in enumerate(xs, start=1))
                 xs = None
-            else:  # indexed by the framing exponent; an integral value as an int
+            else:  # an integral value as an int
                 xs = [v.num.constant_value() if type(v) is RatFunc else v for v in xs]
-                xs = (1, *(int(v) if type(v) is Fraction and v.denominator == 1 else v
-                           for v in xs))
+                xs = tuple(int(v) if type(v) is Fraction and v.denominator == 1 else v
+                           for v in xs)
         self.d = d
         self._x = xs
         self._subs = subs
-        self._unit = (1, {(0, () if xs else (0,) * (d - 1), 0): 1})
+        self._unit = (1, {(0, (0,) * (d - 1), 0): 1})
         self._memo: dict[tuple, tuple[int, dict]] = {}
         self._work = 0
-        # one coefficient product in int-product units: phi(m)^2 for x in
-        # Q(zeta_m), m the lcm of their conductors, else 1
-        m = math.lcm(*(v.m for v in xs or () if type(v) is Cyclotomic))
-        self._weight = (len(cyclotomic_polynomial(m)) - 1) ** 2
 
     def _word(self, frm: tuple, perm: tuple) -> tuple[int, dict]:
-        """(den, value) of tr(t^frm g_perm): value / den in the kernel."""
+        """(den, value) of tr(t^frm g_perm) with x formal: value / den."""
         if not frm:
             return self._unit
         key = (frm, perm)
@@ -138,12 +130,9 @@ class Tracer:
             val = (step[1] * top, value)
         else:
             m, val = step[1], self._word(*step[2])
-            if m and self._x is None:
+            if m:
                 val = (val[0], {(j, ks[: m - 1] + (ks[m - 1] + 1,) + ks[m:], e): c
                                 for (j, ks, e), c in val[1].items()})
-            elif m and self._x[m] != 1:
-                xm = self._x[m]
-                val = (val[0], {k: c * xm for k, c in val[1].items()} if xm else {})
         self._memo[key] = val
         return val
 
@@ -152,7 +141,7 @@ class Tracer:
         (c, frm, perm) with Laurent c.  Word denominators are powers of d,
         so the largest is their lcm."""
         parts = [(c, self._word(f, p)) for c, f, p in items]
-        work = self._work + self._weight * sum(len(c) * len(value) for c, (_, value) in parts)
+        work = self._work + sum(len(c) * len(value) for c, (_, value) in parts)
         if work > MAX_TRACE_PRODUCTS:
             raise ValueError("the trace exceeds the budget of "
                              f"{MAX_TRACE_PRODUCTS} coefficient products")
@@ -161,17 +150,13 @@ class Tracer:
         out: dict = {}
         for c, (den, value) in parts:
             k = top // den
-            if k != 1:
-                c = {ce: cv * k for ce, cv in c.items()}
+            c = [(ce, cv * k) for ce, cv in c.items()] if k != 1 else c.items()
             for (j, ks, e), v in value.items():
-                for ce, cv in c.items():
-                    key = (j + dz, ks, e + ce)
-                    s = out.get(key, 0) + cv * v
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return top, out
+                j += dz
+                for ce, cv in c:
+                    key = (j, ks, e + ce)
+                    out[key] = out.get(key, 0) + cv * v
+        return top, {key: s for key, s in out.items() if s}
 
     def trace(self, e: AlgebraElement) -> tuple[int, dict]:
         """(den, T) with tr(e) = T / den and T = {(z exponent, x exponents,
@@ -180,6 +165,12 @@ class Tracer:
             raise ValueError(f"element has d={e.d}, the trace has d={self.d}")
         self._work = 0
         top, value = self._sum(((c, f, p) for (f, p), c in e.terms.items()), 0)
+        if self._x:  # numeric x_1..x_{d-1}, multiplied in once
+            out: dict = {}
+            for (j, ks, u), c in value.items():
+                x = math.prod(v ** k for v, k in zip(self._x, ks) if k)
+                out[j, (), u] = out.get((j, (), u), 0) + c * x
+            value = {key: c for key, c in out.items() if c}
         return top * e.den, value
 
     def value(self, e: AlgebraElement) -> RatFunc:

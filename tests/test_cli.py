@@ -491,12 +491,12 @@ def test_image_term_budget_at_its_real_size(capsys):
 
 
 def test_trace_product_budget_at_its_real_size(capsys):
-    # the long framed word maps within the image-term budget, then traces
-    # for ~20 s at d = 3, D = {0,1}; the trace's product budget ends it
-    # after a few seconds with one line
+    # the long framed word maps within the image-term budget; at d = 4 its
+    # trace needs ~14.75M int products, and the trace's product budget ends
+    # it after a few seconds with one line
     word = "n=6 " + " ".join(["-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5"] * 2) + " t1 t2"
     start = time.perf_counter()
-    code, out, err = run(capsys, "framed-jones", "--d", "3", "--subset", "0,1",
+    code, out, err = run(capsys, "framed-jones", "--d", "4", "--subset", "0,1",
                          "--braid", word)
     assert time.perf_counter() - start < 10
     assert code == 2 and out == "" and len(err.splitlines()) == 1
@@ -505,9 +505,8 @@ def test_trace_product_budget_at_its_real_size(capsys):
 
 
 def test_trace_budget_passes_five_strands(capsys):
-    # the largest trace call here makes 89,418 int products at d' = 2: the
-    # budget weighs a product by its cost, so cheap products fit where the
-    # long framed word's Cyclotomic ones do not
+    # the largest trace call here makes 232,324 int products, far inside the
+    # budget that the long framed word passes at d = 3
     code, out, err = run(capsys, "verify", "--what", "markov", "--d", "3", "--n", "5")
     assert code == 0 and err == "" and out.endswith("all checks passed\n")
 

@@ -415,6 +415,44 @@ def test_zeta_tokens_have_a_budget():
     assert parse_ratfunc("zeta992") == RatFunc.const(Cyclotomic.root_of_unity(992))
 
 
+def test_exponents_have_a_budget(monkeypatch):
+    # refused with one line before any power is built; the budget itself parses
+    powers = []
+    pow_ = RatFunc.__pow__
+    monkeypatch.setattr(RatFunc, "__pow__", lambda self, e: powers.append(e) or pow_(self, e))
+    for text in (f"(u+1)^{scalars.MAX_EXPONENT + 1}", "u^-8000", "(u+1)^800 + 1"):
+        with pytest.raises(ValueError, match=rf"budget of \^{scalars.MAX_EXPONENT}$") as exc:
+            parse_ratfunc(text)
+        assert "\n" not in str(exc.value)
+    assert powers == []
+    assert parse_ratfunc(f"u^-{scalars.MAX_EXPONENT}") == U ** -scalars.MAX_EXPONENT
+
+
+def test_rendered_invariant_values_parse_back():
+    # parse_ratfunc(render) == value on seeded invariant values and on the
+    # Jones values of s1^82 and s1^-80, the largest exponents a word within
+    # the lambda-exponent budget renders
+    from framelink.braids import parse_braid
+    from framelink.invariants import InvariantRequest, framed_jones, invariant, jones
+    from helpers import random_braid
+
+    rng = random.Random(2602)
+    values = [jones(parse_braid(w)).value.value for w in ("s1 " * 82, "-s1 " * 80)]
+    assert max(e for f in values for mono in f.num.terms for _, e in mono) == 122
+    for _ in range(24):
+        d = rng.randint(1, 3)
+        D = tuple(sorted(rng.sample(range(d), rng.randint(1, d))))
+        kind = rng.choice(("framed", "classical", "singular"))
+        b = random_braid(rng, rng.randint(2, 3), rng.randint(1, 6), kind, d)
+        val = invariant(InvariantRequest(b, kind, d, D)).value
+        values += [val.value, val.base]
+        if kind != "singular":
+            f = jones(b) if kind == "classical" else framed_jones(b, d, D)
+            values.append(f.value.value)
+    for value in values:
+        assert parse_ratfunc(value.render()) == value
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_ratfunc("u +")

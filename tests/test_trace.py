@@ -27,6 +27,7 @@ from framelink.scalars import (
     RatFunc,
     U,
     Z,
+    cyclotomic_polynomial,
     laurent_ratfunc,
     x_var,
 )
@@ -263,14 +264,50 @@ def test_trace_product_budget(monkeypatch):
         Tracer(2, (Fraction(1, 3),)).trace(e)
 
 
-def test_trace_budget_weighs_cyclotomic_products():
-    # a product of Q(zeta_3) values counts phi(3)^2 = 4 int products
+def test_trace_work_is_the_same_at_every_x():
+    # every word is traced with x formal, so one trace makes the same int
+    # products whether its x are formal, rational or in Q(zeta_3)
     e = map_to_algebra(parse_braid("t1 s1 -s2 s1 s2 -s1 t3^2"), 3)
-    rational = Tracer(3, (Fraction(1, 3), Fraction(2, 5)))
-    cyclotomic = Tracer(3, build_solution(3, (0, 1)).x[1:])
-    rational.trace(e)
-    cyclotomic.trace(e)
-    assert rational._work > 0 and cyclotomic._work == 4 * rational._work
+    works = []
+    for xs in (None, (Fraction(1, 3), Fraction(2, 5)), build_solution(3, (0, 1)).x[1:]):
+        tracer = Tracer(3, xs)
+        tracer.trace(e)
+        works.append(tracer._work)
+    assert works[0] > 0 and works == [works[0]] * 3
+
+
+def _random_x(rng):
+    """0, an int, a Fraction, or (two times in five) a random element of
+    Q(zeta_m), 3 <= m <= 12."""
+    kind = rng.randrange(5)
+    if kind < 2:
+        return (0, rng.randint(-3, 3))[kind]
+    if kind == 2:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    m = rng.randint(3, 12)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    return Cyclotomic(m, (Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in range(deg)))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_numeric_x_match_the_formal_trace_substituted(d):
+    # numeric x are multiplied in once, at the end of a trace: the value
+    # equals the formal trace with the same x substituted, for every
+    # E-system solution and for random x in Q(zeta_m), m <= 12, of mixed
+    # conductors; compared by value, since a Cyclotomic's conductor may differ
+    rng = random.Random(2600 + d)
+    xs_cases = [tuple(build_solution(d, D).x[1:])
+                for r in range(1, d + 1) for D in itertools.combinations(range(d), r)]
+    xs_cases += [tuple(_random_x(rng) for _ in range(d - 1)) for _ in range(8)]
+    formal = Tracer(d)
+    for xs in xs_cases:
+        tracer = Tracer(d, xs)
+        subs = {f"x{m}": RatFunc.const(v) for m, v in enumerate(xs, start=1)}
+        for n in (2, 3):
+            for _ in range(2):
+                e = map_to_algebra(random_braid(rng, n, 5, "framed", d), d)
+                assert tracer.value(e) == formal.value(e).substitute(subs), (xs, e)
 
 
 # -- the strand strip ----------------------------------------------------------
