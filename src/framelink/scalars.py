@@ -1006,8 +1006,8 @@ class HalfPowerValue:
 # zeta30030 would take about a minute; the lcm of two moduli d <= 32, at
 # most 992, is the largest conductor the engine forms from its own values.
 MAX_ZETA = 1024
-# The largest |e| of a parsed ^e, over 4x the u^122 of the Jones value of
-# s1^82; (u+1)^400 takes ~0.5 s, and ~4x more per doubling.
+# The largest exponent a parsed ^e may build, over 4x the u^122 of the Jones
+# value of s1^82; (u+1)^400 takes ~0.5 s, and ~4x more per doubling.
 MAX_EXPONENT = 512
 
 
@@ -1083,9 +1083,10 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise ValueError(f"expected integer exponent, got {tok!r}")
-            e = int(tok)
-            if e > MAX_EXPONENT:
-                raise ValueError(f"^{e} exceeds the budget of ^{MAX_EXPONENT}")
+            e = int(tok)  # bounded as built: e times the largest exponent in base
+            top = max([1] + [k for q in (base.num, base.den) for m in q.terms for _, k in m])
+            if e * top > MAX_EXPONENT:
+                raise ValueError(f"^{e * top} exceeds the budget of ^{MAX_EXPONENT}")
             return base ** (-e if neg else e)
         return base
 

@@ -20,16 +20,15 @@ product A B in the algebra's integer kernel, Laurent coefficients over a
 denominator that is a power of d.  ``Tracer(d, xs, z)`` is the one
 evaluator, and it stays in that kernel too: a word's value, memoized per
 word, is a dict {(z exponent, x exponents, u exponent): int} over a power
-of d, with z and x formal, and an x strip adds 1 to its exponent.
-``Tracer.trace`` sums c_w tr(w) in the kernel and returns that value over
-its denominator, which the invariants and the quotient scans read as it
-is.  When every x is a number (an int, Fraction or Cyclotomic is taken as
-it is, a constant RatFunc is read off), it multiplies them in once, at the
-end: c z^j x^k u^e becomes c prod x_m^(k_m) under the key (j, (), e).
-``Tracer.value`` alone builds its RatFunc and substitutes a given z, and x
-values that are not all numbers, into it.  One ``trace`` call may make at
-most MAX_TRACE_PRODUCTS int coefficient products, and is refused with a
-ValueError past them.
+of d, with z and x formal; an x strip adds 1 to its exponent, or drops
+the branch or leaves it as it is when that x is the number 0 or 1.
+``Tracer.trace`` sums c_w tr(w) and returns it over its denominator, as
+the invariants and the quotient scans read it; other numeric x (an int,
+Fraction, Cyclotomic or constant RatFunc) are multiplied in once, at the
+end, c z^j x^k u^e becoming c prod x_m^(k_m) under (j, (), e).
+``Tracer.value`` alone builds a RatFunc, with a given z and x that are
+not all numbers substituted.  One ``trace`` call may make at most
+MAX_TRACE_PRODUCTS coefficient products, or is refused.
 """
 from __future__ import annotations
 
@@ -40,12 +39,11 @@ from .algebra import AlgebraElement, _word_product
 from .scalars import Cyclotomic, RatFunc, laurent_ratfunc
 
 _NUMBERS = (int, Fraction, Cyclotomic)
-# Int coefficient products, len(c) * len(value) per part of a z-step sum,
-# that one ``Tracer.trace`` call may make, the same at every x.  The largest
-# calls of `verify --what markov` make 232,324 (`--d 3 --n 5`) and 402,228
-# (`--d 6 --n 4`); the long framed word "-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5"
-# twice plus t1 t2 needs 1,930,823 at d = 3 (~2 s) and 14,754,090 at d = 4,
-# refused after ~4 s (2 vCPU, Python 3.11).
+# Coefficient products one ``Tracer.trace`` call may make: len(c) * len(value)
+# per part of a z-step sum, then one per term and sum(k) per x monomial k to
+# multiply numeric x in.  `verify --what markov --d 6 --n 4` makes 250,940; the
+# long framed word "-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5" twice plus t1 t2 makes
+# 1,930,914 at d = 3 (~2 s) and 6,415,266 at d = 4, D = {0,1} (refused, ~4 s).
 MAX_TRACE_PRODUCTS = 4_000_000
 
 # (d, frm, perm) -> ("x", m, (frm', perm')) | ("z", den, ((coeff, frm', perm'), ...)),
@@ -88,8 +86,7 @@ class Tracer:
 
     xs lists x_1..x_{d-1} (x_0 = 1 always): an int, Fraction or Cyclotomic
     is taken as it is, anything else as a scalar convertible to RatFunc;
-    None keeps them formal.  z stays formal unless given.  One ``trace``
-    call may make at most MAX_TRACE_PRODUCTS int coefficient products.
+    None keeps them formal, and z stays formal unless given.
     """
 
     __slots__ = ("d", "_x", "_subs", "_unit", "_memo", "_work")
@@ -128,6 +125,8 @@ class Tracer:
         if step[0] == "z":
             top, value = self._sum(step[2], 1)
             val = (step[1] * top, value)
+        elif step[1] and self._x and self._x[step[1] - 1] in (0, 1):  # x_m is 0 or 1
+            val = self._word(*step[2]) if self._x[step[1] - 1] else (1, {})
         else:
             m, val = step[1], self._word(*step[2])
             if m:
@@ -136,16 +135,18 @@ class Tracer:
         self._memo[key] = val
         return val
 
+    def _charge(self, products: int) -> None:
+        self._work += products
+        if self._work > MAX_TRACE_PRODUCTS:
+            raise ValueError(f"the trace exceeds the budget of {MAX_TRACE_PRODUCTS} "
+                             "coefficient products")
+
     def _sum(self, items, dz: int) -> tuple[int, dict]:
         """(den, value) of z^dz sum c tr(t^frm g_perm) over items
         (c, frm, perm) with Laurent c.  Word denominators are powers of d,
         so the largest is their lcm."""
         parts = [(c, self._word(f, p)) for c, f, p in items]
-        work = self._work + sum(len(c) * len(value) for c, (_, value) in parts)
-        if work > MAX_TRACE_PRODUCTS:
-            raise ValueError("the trace exceeds the budget of "
-                             f"{MAX_TRACE_PRODUCTS} coefficient products")
-        self._work = work
+        self._charge(sum(len(c) * len(value) for c, (_, value) in parts))
         top = max((den for _, (den, _) in parts), default=1)
         out: dict = {}
         for c, (den, value) in parts:
@@ -165,11 +166,13 @@ class Tracer:
             raise ValueError(f"element has d={e.d}, the trace has d={self.d}")
         self._work = 0
         top, value = self._sum(((c, f, p) for (f, p), c in e.terms.items()), 0)
-        if self._x:  # numeric x_1..x_{d-1}, multiplied in once
+        if self._x:  # numeric x_1..x_{d-1}: each x monomial is built once
+            monos = {ks for _, ks, _ in value}
+            self._charge(len(value) + sum(map(sum, monos)))
+            xk = {ks: math.prod(v ** k for v, k in zip(self._x, ks) if k) for ks in monos}
             out: dict = {}
             for (j, ks, u), c in value.items():
-                x = math.prod(v ** k for v, k in zip(self._x, ks) if k)
-                out[j, (), u] = out.get((j, (), u), 0) + c * x
+                out[j, (), u] = out.get((j, (), u), 0) + c * xk[ks]
             value = {key: c for key, c in out.items() if c}
         return top * e.den, value
 

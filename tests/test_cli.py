@@ -491,9 +491,9 @@ def test_image_term_budget_at_its_real_size(capsys):
 
 
 def test_trace_product_budget_at_its_real_size(capsys):
-    # the long framed word maps within the image-term budget; at d = 4 its
-    # trace needs ~14.75M int products, and the trace's product budget ends
-    # it after a few seconds with one line
+    # the long framed word maps within the image-term budget; at d = 4,
+    # D = {0,1} its trace needs ~6.4M coefficient products, and the trace's
+    # product budget ends it after a few seconds with one line
     word = "n=6 " + " ".join(["-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5"] * 2) + " t1 t2"
     start = time.perf_counter()
     code, out, err = run(capsys, "framed-jones", "--d", "4", "--subset", "0,1",
@@ -504,8 +504,17 @@ def test_trace_product_budget_at_its_real_size(capsys):
                    f"{trace.MAX_TRACE_PRODUCTS} coefficient products\n")
 
 
+def test_long_word_at_zero_x_is_answered(capsys):
+    # at D = Z/4 every x_m is 0, and a branch that strips one is dropped, so
+    # the long framed word is answered at d = 4 without a coefficient product
+    word = "n=6 " + " ".join(["-s1 s2 -s3 s4 -s5 s1 -s2 s3 -s4 s5"] * 2) + " t1 t2"
+    code, out, err = run(capsys, "framed-jones", "--d", "4", "--subset", "0,1,2,3",
+                         "--braid", word)
+    assert (code, out, err) == (0, "0 * sqrt(lambda_D)\n", "")
+
+
 def test_trace_budget_passes_five_strands(capsys):
-    # the largest trace call here makes 232,324 int products, far inside the
+    # the largest trace call here makes 89,437 int products, far inside the
     # budget that the long framed word passes at d = 3
     code, out, err = run(capsys, "verify", "--what", "markov", "--d", "3", "--n", "5")
     assert code == 0 and err == "" and out.endswith("all checks passed\n")

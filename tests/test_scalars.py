@@ -416,15 +416,17 @@ def test_zeta_tokens_have_a_budget():
 
 
 def test_exponents_have_a_budget(monkeypatch):
-    # refused with one line before any power is built; the budget itself parses
+    # refused with one line before a power past the budget is built, also a
+    # power of a parenthesised power; the budget itself parses
     powers = []
     pow_ = RatFunc.__pow__
     monkeypatch.setattr(RatFunc, "__pow__", lambda self, e: powers.append(e) or pow_(self, e))
-    for text in (f"(u+1)^{scalars.MAX_EXPONENT + 1}", "u^-8000", "(u+1)^800 + 1"):
+    for text in (f"(u+1)^{scalars.MAX_EXPONENT + 1}", "u^-8000", "(u+1)^800 + 1",
+                 "((u+1)^16)^64", "(u^-300)^2", "(2*u^2/(u-1))^300"):
         with pytest.raises(ValueError, match=rf"budget of \^{scalars.MAX_EXPONENT}$") as exc:
             parse_ratfunc(text)
         assert "\n" not in str(exc.value)
-    assert powers == []
+    assert {abs(e) for e in powers} == {16, 300, 2}  # the inner powers alone
     assert parse_ratfunc(f"u^-{scalars.MAX_EXPONENT}") == U ** -scalars.MAX_EXPONENT
 
 

@@ -264,16 +264,23 @@ def test_trace_product_budget(monkeypatch):
         Tracer(2, (Fraction(1, 3),)).trace(e)
 
 
-def test_trace_work_is_the_same_at_every_x():
+def test_trace_work_is_the_same_at_every_x_but_0_or_1():
     # every word is traced with x formal, so one trace makes the same int
-    # products whether its x are formal, rational or in Q(zeta_3)
+    # products whether its x are formal, rational or in Q(zeta_3); numeric x
+    # add one per term and sum(k) per x monomial k, while an x equal to 0
+    # drops every branch that strips it and an x equal to 1 keeps no exponent
     e = map_to_algebra(parse_braid("t1 s1 -s2 s1 s2 -s1 t3^2"), 3)
+    formal = Tracer(3)
+    _, terms = formal.trace(e)
+    final = len(terms) + sum(map(sum, {ks for _, ks, _ in terms}))
     works = []
-    for xs in (None, (Fraction(1, 3), Fraction(2, 5)), build_solution(3, (0, 1)).x[1:]):
+    for D in (None, (0, 1), (0, 1, 2), (0,)):
+        xs = build_solution(3, D).x[1:] if D else (Fraction(1, 3), Fraction(2, 5))
         tracer = Tracer(3, xs)
         tracer.trace(e)
         works.append(tracer._work)
-    assert works[0] > 0 and works == [works[0]] * 3
+    assert final > 0 and works[:2] == [formal._work + final] * 2
+    assert works[2] < formal._work and works[3] < formal._work
 
 
 def _random_x(rng):
