@@ -48,9 +48,10 @@ from .quotients import QuotientCheck, admissible, trace_vanishes_on_ideal
 from .scalars import U, RatFunc
 
 CACHE_ENV = "FRAMELINK_CACHE"
-# Each step in d multiplies the cost of `verify --what quotients`: --d 3
-# takes ~0.5 s and --d 4 ~2 s (2 vCPU, Python 3.11), so --d is capped.
-MAX_QUOTIENT_VERIFY_D = 3
+# The largest --d of the verify suites whose cost each step in d multiplies
+# (2 vCPU, Python 3.11): quotients --d 3 takes ~0.5 s and --d 4 ~2 s, skein
+# --d 4 ~1.4 s, --d 5 ~6.4 s and --d 6 ~16 s.
+MAX_VERIFY_D = {"quotients": 3, "skein": 4}
 RELATION_NAMES = ("cubic", "cubic_factorization", "gipi", "quadratic_p",
                   "eta_relations", "bmw_quintic_factorization")
 
@@ -377,9 +378,6 @@ def _quotient_grid(d_max: int):
 
 def _verify_quotients(args) -> list[str]:
     d_max = args.d or 2
-    if d_max > MAX_QUOTIENT_VERIFY_D:
-        raise ValueError(f"verify --what quotients --d {d_max} exceeds the budget "
-                         f"of --d <= {MAX_QUOTIENT_VERIFY_D}")
     failures = []
     counts = {}
     failed_kinds = set()
@@ -405,6 +403,9 @@ def _run_verify(args) -> int:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
     if args.d is not None:
         check_modulus(args.d)
+        if args.d > MAX_VERIFY_D.get(args.what, args.d):
+            raise ValueError(f"verify --what {args.what} --d {args.d} exceeds the budget "
+                             f"of --d <= {MAX_VERIFY_D[args.what]}")
     suite = {"relations": _verify_relations, "skein": _verify_skein,
              "markov": _verify_markov, "quotients": _verify_quotients}[args.what]
     failures = suite(args)

@@ -66,15 +66,17 @@ scaling and no content to remove.
 Both criteria read one integer form per check (QuotientCheck.integer_form,
 built on first use): z and each x, values in Q(zeta_L)(u) with L the lcm
 of their conductors, are split once as P / Q over Z[u, w], w = zeta_M with
-M = lcm(d, L).  A kept value times the Q^top of its variables is
-N = sum c(u) prod P^e Q^(top-e); the table P^e Q^(top-e) of one value
-depends on (P, Q, M, top) alone and is built once per process
+M = lcm(d, L) <= scalars.MAX_ZETA.  A kept value times the Q^top of its
+variables is N = sum c(u) prod P^e Q^(top-e); the table P^e Q^(top-e) of
+one value depends on (P, Q, M, top) alone and is built once per process
 (_power_table), since the values recur: x comes from the E-system
 solutions and z from the passing families.  One zero test, _vanishes,
 decides the scan and every closed-form comparison: is sum a_i b_i, with
 a_i in Z[u, u^-1] and b_i in Z[u, w], 0 mod Phi_M(w) in every
-u-coefficient?  RatFunc.substitute runs only for the witness value of the
-first failing word, which quotient_report prints.
+u-coefficient?  Each u-coefficient, an integer vector over w^0..w^(M-1),
+goes through scalars._reduce, the one reduction modulo Phi_M.
+RatFunc.substitute runs only for the witness value of the first failing
+word, which quotient_report prints.
 
 ideal_inclusion decides the chain of the three defining ideals in the same
 echelon, without the pair loop: it closes the span of one generator under
@@ -103,10 +105,11 @@ from .algebra import (
 )
 from .esystem import MAX_MODULUS, check_modulus
 from .scalars import (
+    MAX_ZETA,
     Cyclotomic,
     RatFunc,
+    _reduce,
     _zx_divexact,
-    cyclotomic_polynomial,
     laurent_ratfunc,
 )
 from .trace import Tracer
@@ -149,6 +152,8 @@ class QuotientCheck:
         values = (self.zval, *self.xs)
         M = math.lcm(self.d, *(c.m for v in values for poly in (v.num, v.den)
                                for c in poly.terms.values() if type(c) is Cyclotomic))
+        if M > MAX_ZETA:  # before _vanishes allocates rows of length M
+            raise ValueError(f"zeta{M} exceeds the budget of zeta{MAX_ZETA}")
         return M, tuple(_split(v, M) for v in values)
 
     def substitution(self) -> dict[str, RatFunc]:
@@ -252,28 +257,16 @@ def _split(value: RatFunc, M: int) -> tuple[dict, dict]:
 def _vanishes(parts, M: int) -> bool:
     """Is sum a b over the parts (a, b) zero, with a a Laurent polynomial
     {u exponent: int} and b a polynomial {(u exponent, w exponent < M): int}
-    in u and w = zeta_M: is every u-coefficient 0 mod Phi_M(w)?"""
-    total: dict = {}
+    in u and w = zeta_M: does every u-coefficient reduce to 0 mod Phi_M(w)?"""
+    rows: dict = {}  # u exponent -> its coefficients at w^0..w^(M-1)
     for a, b in parts:
         for e1, c1 in a.items():
             for (e2, k), c2 in b.items():
-                key = (e1 + e2, k)
-                total[key] = total.get(key, 0) + c1 * c2
-    phi = cyclotomic_polynomial(M)  # monic, integral
-    deg = len(phi) - 1
-    rows: dict = {}
-    for (e, k), c in total.items():
-        if c:
-            rows.setdefault(e, [0] * M)[k] += c
-    for row in rows.values():
-        for j in range(M - 1, deg - 1, -1):  # w^j -= w^(j-deg) Phi_M(w)
-            c = row[j]
-            if c:
-                for i in range(deg):
-                    row[j - deg + i] -= c * phi[i]
-        if any(row[:deg]):
-            return False
-    return True
+                row = rows.get(e1 + e2)
+                if row is None:
+                    rows[e1 + e2] = row = [0] * M
+                row[k] += c1 * c2
+    return not any(any(_reduce(M, row)) for row in rows.values() if any(row))
 
 
 # One entry per value (P, Q, M, top).  z and x come from finite families (the

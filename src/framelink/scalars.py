@@ -30,7 +30,7 @@ is the one way from that kernel to a ``RatFunc``, built already normalized
 z and x values that a ``Tracer`` substitutes, the one witness value a
 failing quotient check prints, parsing and ``HalfPowerValue``.  The quotient
 layer decides without it: its one zero test reduces integer polynomials
-in u and zeta_M modulo ``cyclotomic_polynomial(M)``, and its elimination
+in u and zeta_M modulo Phi_M by ``_reduce``, and its elimination
 is fraction-free over Z[u, u^-1], with an integer gcd.
 
 A normalized ``RatFunc`` with a constant denominator holds the shared
@@ -43,15 +43,17 @@ they call it; ``_as_coeff`` turns an ``int`` coefficient into a ``Fraction``
 and refuses any other type, floats included.
 
 One power routine, ``_power``, serves every type (algebra elements too);
-one Euclid on dense coefficient lists, ``_uni_divmod``, serves
-``Cyclotomic.inverse`` and the univariate gcd; Z[x] has one exact
-division, ``_zx_divexact``, which builds the cyclotomic polynomials (their
-coefficients are ints) and divides out the quotient layer's content gcd;
-and ``RatFunc.const`` is the one coercion to ``RatFunc``.
+one reduction modulo Phi_m, ``_reduce``, serves every ``Cyclotomic`` and
+the quotient layer's zero test; one Euclid on dense coefficient lists,
+``_uni_divmod``, serves ``Cyclotomic.inverse`` and the univariate gcd;
+Z[x] has one exact division, ``_zx_divexact``, which builds the cyclotomic
+polynomials (their coefficients are ints) and divides out the quotient
+layer's content gcd; and ``RatFunc.const`` is the one coercion to ``RatFunc``.
 
-``parse_ratfunc`` reads back everything ``RatFunc.render`` emits (and a bit
+``parse_ratfunc`` reads back what ``RatFunc.render`` emits (and a bit
 more: whitespace, explicit ``+``/``-`` chains, ``zeta<m>`` tokens with
-m <= ``MAX_ZETA``), with exponents of size at most ``MAX_EXPONENT``.
+m <= ``MAX_ZETA``) while the top exponents of a numerator and denominator,
+and of each monomial's variables, add up to at most ``MAX_EXPONENT``.
 """
 from __future__ import annotations
 
@@ -136,10 +138,16 @@ def _power(base, e: int, one):
     return out
 
 
-# This cache and the next, keyed on conductors: tier-1 fills 38 and 164
-# keys in one process, the workloads at most 3 and 6 (warm-up + 3,000
-# requests, 600 for cli_cache, seeds 911-913).  Each bound is over 4x the
-# largest.
+# The largest conductor whose Phi is built, so of every Cyclotomic value
+# and lcm.  Phi_m costs ~m^2 steps to build, and Phi_30030 would take about
+# a minute; the lcm of two moduli d <= 32, at most 992, is the largest the
+# engine forms itself.
+MAX_ZETA = 1024
+
+
+# Keyed on conductors: tier-1 fills 72 keys in one process, the workloads at
+# most 3 (warm-up + 3,000 requests, 600 for cli_cache, seeds 911-913); 256
+# is over 3x the largest, and an evicted polynomial is only rebuilt.
 @functools.lru_cache(maxsize=256)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Monic ascending integer coefficients of the m-th cyclotomic polynomial.
@@ -149,6 +157,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError("conductor must be positive")
+    if m > MAX_ZETA:
+        raise ValueError(f"zeta{m} exceeds the budget of zeta{MAX_ZETA}")
     num = [-1] + [0] * (m - 1) + [1]
     for e in range(1, m):
         if m % e == 0:
@@ -156,26 +166,21 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@functools.lru_cache(maxsize=1024)
-def _power_vector(m: int, e: int) -> tuple[Fraction, ...]:
-    """x^e mod Phi_m as a full coefficient vector of length deg(Phi_m)."""
-    deg = len(cyclotomic_polynomial(m)) - 1
-    vec = [Fraction(0)] * max(deg, e + 1)
-    vec[e] = Fraction(1)
-    _reduce_in_place(m, vec, deg)
-    return tuple(vec[:deg])
-
-
-def _reduce_in_place(m: int, vec: list[Fraction], deg: int) -> None:
-    phi = cyclotomic_polynomial(m)
+def _reduce(m: int, vec: list) -> list:
+    """The one reduction modulo Phi_m: vec, the ascending int or Fraction
+    coefficients of a polynomial in w, becomes its remainder mod Phi_m(w) in
+    place, exactly deg(Phi_m) entries (int 0s pad a short vec); returns it."""
+    phi = cyclotomic_polynomial(m)  # monic, integral
+    deg = len(phi) - 1
+    vec += [0] * (deg - len(vec))
     for j in range(len(vec) - 1, deg - 1, -1):
         c = vec[j]
-        if c:  # x^j -= x^(j-deg) Phi_m(x)
-            vec[j] = Fraction(0)
+        if c:  # w^j -= w^(j-deg) Phi_m(w)
             for i, p in zip(range(j - deg, j), phi):
                 if p:
                     vec[i] -= c * p
     del vec[deg:]
+    return vec
 
 
 class Cyclotomic:
@@ -214,9 +219,8 @@ class Cyclotomic:
     @staticmethod
     def root_of_unity(m: int, k: int = 1) -> "Fraction | Cyclotomic":
         """zeta_m^k."""
-        if m < 1:
-            raise ValueError("conductor must be positive")
-        return Cyclotomic(m, _power_vector(m, k % m))
+        cyclotomic_polynomial(m)  # refuses m before the vector below is built
+        return Cyclotomic(m, _reduce(m, [0] * (k % m) + [1]))
 
     # -- structure ----------------------------------------------------------
 
@@ -226,20 +230,14 @@ class Cyclotomic:
             return self.c
         if m2 % self.m:
             raise ValueError(f"no embedding of conductor {self.m} into {m2}")
-        k = m2 // self.m
-        deg2 = len(cyclotomic_polynomial(m2)) - 1
-        out = [Fraction(0)] * deg2
-        for j, cj in enumerate(self.c):
-            if cj:
-                for i, p in enumerate(_power_vector(m2, (j * k) % m2)):
-                    if p:
-                        out[i] += cj * p
-        return tuple(out)
+        k, vec = m2 // self.m, [Fraction(0)] * m2  # zeta_m = w^k, w = zeta_m2
+        vec[: len(self.c) * k : k] = self.c
+        return tuple(_reduce(m2, vec))
 
     def _pair(self, other: "Cyclotomic"):
         if self.m == other.m:
             return self.m, self.c, other.c
-        m = self.m * other.m // math.gcd(self.m, other.m)
+        m = math.lcm(self.m, other.m)
         return m, self._coeffs_at(m), other._coeffs_at(m)
 
     # -- arithmetic ---------------------------------------------------------
@@ -277,8 +275,7 @@ class Cyclotomic:
                 for j, y in enumerate(cb):
                     if y:
                         prod[i + j] += x * y
-        _reduce_in_place(m, prod, len(ca))
-        return Cyclotomic._make(m, tuple(prod))
+        return Cyclotomic._make(m, tuple(_reduce(m, prod)))
 
     __rmul__ = __mul__
 
@@ -294,10 +291,7 @@ class Cyclotomic:
             s0, s1 = s1, _uni_sub(s0, _uni_mul(q, s1))
         if len(r0) != 1:
             raise AssertionError("cyclotomic polynomial split unexpectedly")
-        inv = [x / r0[0] for x in s0]
-        inv += [Fraction(0)] * (len(self.c) - len(inv))
-        _reduce_in_place(self.m, inv, len(self.c))
-        return Cyclotomic(self.m, inv[: len(self.c)])
+        return Cyclotomic(self.m, _reduce(self.m, [x / r0[0] for x in s0]))
 
     def __truediv__(self, other):
         if isinstance(other, Cyclotomic):
@@ -1002,12 +996,9 @@ class HalfPowerValue:
 # ---------------------------------------------------------------------------
 
 
-# The largest m of a parsed zeta<m>.  Phi_m costs ~m^2 steps to build, and
-# zeta30030 would take about a minute; the lcm of two moduli d <= 32, at
-# most 992, is the largest conductor the engine forms from its own values.
-MAX_ZETA = 1024
-# The largest exponent a parsed ^e may build, over 4x the u^122 of the Jones
-# value of s1^82; (u+1)^400 takes ~0.5 s, and ~4x more per doubling.
+# The largest exponent a parsed operation may build, over 4x the u^122 of
+# the Jones value of s1^82; (u+1)^512 takes ~0.4 s, and ~4x more per
+# doubling, so (u+1)^512*(u+1)^512 is refused after ~0.8 s.
 MAX_EXPONENT = 512
 
 
@@ -1038,6 +1029,17 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _top(value: RatFunc) -> int:
+    """The largest exponent in value's numerator and denominator."""
+    return max((k for q in (value.num, value.den) for m in q.terms for _, k in m), default=0)
+
+
+def _bounded(top: int) -> None:
+    """Refuse with one line an operation whose exponents may reach top."""
+    if top > MAX_EXPONENT:
+        raise ValueError(f"^{top} exceeds the budget of ^{MAX_EXPONENT}")
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
@@ -1058,6 +1060,9 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.parse_term()
+            # a sum of fractions cross-multiplies, one of polynomials does not
+            cross = not (value.den.is_constant() and rhs.den.is_constant())
+            _bounded(_top(value) + _top(rhs) if cross else max(_top(value), _top(rhs)))
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -1066,6 +1071,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.parse_factor()
+            _bounded(_top(value) + _top(rhs))
             value = value * rhs if op == "*" else value / rhs
         return value
 
@@ -1083,10 +1089,8 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise ValueError(f"expected integer exponent, got {tok!r}")
-            e = int(tok)  # bounded as built: e times the largest exponent in base
-            top = max([1] + [k for q in (base.num, base.den) for m in q.terms for _, k in m])
-            if e * top > MAX_EXPONENT:
-                raise ValueError(f"^{e * top} exceeds the budget of ^{MAX_EXPONENT}")
+            e = int(tok)
+            _bounded(e * max(1, _top(base)))
             return base ** (-e if neg else e)
         return base
 
@@ -1101,7 +1105,7 @@ class _Parser:
             return RatFunc.const(int(tok))
         if tok.startswith("zeta") and tok[4:].isdigit():
             m = int(tok[4:])
-            if m > MAX_ZETA:
+            if m > MAX_ZETA:  # refused before any Phi is asked for
                 raise ValueError(f"zeta{m} exceeds the budget of zeta{MAX_ZETA}")
             return RatFunc.const(Cyclotomic.root_of_unity(m))
         if tok.isidentifier():

@@ -12,7 +12,7 @@ import pytest
 
 from framelink import __version__, algebra, trace
 from framelink.braids import parse_braid
-from framelink.cli import _cache_key, build_parser, cache_get, cache_put, main
+from framelink.cli import MAX_VERIFY_D, _cache_key, build_parser, cache_get, cache_put, main
 from framelink.esystem import MAX_MODULUS
 from framelink.invariants import MAX_LAMBDA_EXPONENT, InvariantRequest, homflypt, invariant
 from framelink.scalars import RatFunc, U, parse_ratfunc
@@ -386,10 +386,14 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "esystem", "--d", "40")
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert "budget" in err
-    # the quotient suite is capped in d: each step multiplies its cost
-    code, out, err = run(capsys, "verify", "--what", "quotients", "--d", "4")
-    assert code == 2 and out == "" and len(err.splitlines()) == 1
-    assert "budget" in err and "--d" in err
+    # the quotient and skein suites are capped in d: each step multiplies
+    # their cost
+    assert MAX_VERIFY_D == {"quotients": 3, "skein": 4}
+    for what, cap in MAX_VERIFY_D.items():
+        code, out, err = run(capsys, "verify", "--what", what, "--d", str(cap + 1))
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err == (f"error: verify --what {what} --d {cap + 1} exceeds the budget "
+                       f"of --d <= {cap}\n")
     # repeated residues are refused by every subcommand, framed-jones too
     code, out, err = run(capsys, "framed-jones", "--d", "2", "--subset", "0,2",
                          "--braid", "s1")

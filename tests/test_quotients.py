@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from framelink import quotients
+from framelink import quotients, scalars
 from framelink.algebra import (
     AlgebraElement,
     _bump,
@@ -98,6 +98,20 @@ def test_rejects_moduli_outside_the_budget():
         unit = AlgebraElement.unit(max(d, 1), 3)
         with pytest.raises(ValueError, match=msg):
             ideal_inclusion(unit, unit, d)
+
+
+def test_rejects_conductors_outside_the_budget(monkeypatch):
+    # x with conductors 1021 and 1019 would need Phi of lcm(3, 1021, 1019);
+    # every criterion refuses it with one line before that Phi is built
+    check = QuotientCheck("ytl", 3, -1, (Cyclotomic.root_of_unity(1021),
+                                         Cyclotomic.root_of_unity(1019)))
+    asked = []
+    phi = scalars.cyclotomic_polynomial
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", lambda m: asked.append(m) or phi(m))
+    for criterion in (admissible, trace_vanishes_on_ideal, quotient_report):
+        with pytest.raises(ValueError, match=r"^zeta3121197 exceeds the budget of zeta1024$"):
+            criterion(check)
+    assert all(m <= scalars.MAX_ZETA for m in asked)
 
 
 def test_rejects_small_n():

@@ -18,6 +18,8 @@ from framelink.scalars import (
     U,
     Z,
     _POLY_ONE,
+    _reduce,
+    _uni_divmod,
     _uni_poly_gcd,
 )
 from framelink.invariants import lambda_d
@@ -143,6 +145,66 @@ def test_equal_cyclotomics_hash_alike():
     zeta6, zeta3 = Cyclotomic.root_of_unity(6), Cyclotomic.root_of_unity(3)
     assert zeta6 ** 2 == zeta3
     assert len({zeta6 ** 2, zeta3}) == 1
+
+
+def _remainder(m, vec):
+    """vec mod Phi_m by the Euclid of _uni_divmod, padded to deg Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    rem = _uni_divmod([Fraction(c) for c in vec], [Fraction(p) for p in phi])[1]
+    return rem + [0] * (len(phi) - 1 - len(rem))
+
+
+def test_the_one_reduction_matches_the_euclid_remainder():
+    # seeded int and Fraction vectors, shorter and longer than deg Phi_m
+    rng = random.Random(2700)
+    for m in range(1, 61):
+        deg = len(cyclotomic_polynomial(m)) - 1
+        for length in {1, max(1, deg - 1), deg, deg + 1, 2 * deg - 1, m, 2 * m}:
+            ints = [rng.randint(-5, 5) for _ in range(length)]
+            fracs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(length)]
+            for vec in (ints, fracs):
+                out = _reduce(m, list(vec))  # reduces in place
+                assert len(out) == deg and out == _remainder(m, vec), (m, vec)
+            assert {type(c) for c in _reduce(m, list(ints))} == {int}
+
+
+def test_the_embedding_is_the_remainder_of_the_scattered_vector():
+    # zeta_m = w^(m2/m) for w = zeta_m2: c_j goes to index j m2/m, reduced once
+    rng = random.Random(2800)
+    for m2 in range(3, 61):
+        for m in range(3, m2 + 1):
+            if m2 % m:
+                continue
+            c = _random_cyclotomic(rng, m)
+            while type(c) is not Cyclotomic:
+                c = _random_cyclotomic(rng, m)
+            scattered = [0] * m2
+            for j, cj in enumerate(c.c):
+                scattered[j * (m2 // m)] = cj
+            embedded = c._coeffs_at(m2)
+            assert list(embedded) == _remainder(m2, scattered), (m, m2)
+            assert {type(x) for x in embedded} == {Fraction}
+            assert Cyclotomic(m2, embedded) == c
+
+
+def test_conductors_have_a_budget():
+    # a conductor past MAX_ZETA is refused with one line before its Phi is
+    # built: an lcm in a product, a sum and a comparison, parsed or not, and
+    # the library's own entry points; the largest lcm the engine forms,
+    # lcm(31, 32) = 992, still multiplies
+    a, b = Cyclotomic.root_of_unity(1021), Cyclotomic.root_of_unity(1019)
+    Cyclotomic.root_of_unity(251), Cyclotomic.root_of_unity(241)
+    for op in (lambda: a * b, lambda: a + b, lambda: a == b,
+               lambda: parse_ratfunc("zeta1021*zeta1019"),
+               lambda: parse_ratfunc("zeta251*zeta241"),
+               lambda: Cyclotomic.root_of_unity(2310, 10**12),
+               lambda: Cyclotomic(30030, [1] * 5760)):
+        built = cyclotomic_polynomial.cache_info().currsize
+        with pytest.raises(ValueError, match=r"^zeta\d+ exceeds the budget of zeta1024$"):
+            op()
+        assert cyclotomic_polynomial.cache_info().currsize == built
+    z31, z32 = Cyclotomic.root_of_unity(31), Cyclotomic.root_of_unity(32)
+    assert (z31 * z32).m == 992 and z31 * z32 == Cyclotomic.root_of_unity(992, 32 + 31)
 
 
 # -- rational functions -----------------------------------------------------
@@ -417,17 +479,30 @@ def test_zeta_tokens_have_a_budget():
 
 def test_exponents_have_a_budget(monkeypatch):
     # refused with one line before a power past the budget is built, also a
-    # power of a parenthesised power; the budget itself parses
-    powers = []
-    pow_ = RatFunc.__pow__
+    # power of a parenthesised power, and so is a product, quotient or sum
+    # whose operands' largest exponents add up past it (a sum with a
+    # denominator cross-multiplies); the budget itself parses
+    powers, ops = [], []
+    pow_, mul, add = RatFunc.__pow__, RatFunc.__mul__, RatFunc.__add__
     monkeypatch.setattr(RatFunc, "__pow__", lambda self, e: powers.append(e) or pow_(self, e))
+    for name, op in (("__mul__", mul), ("__add__", add)):
+        monkeypatch.setattr(RatFunc, name, lambda self, other, op=op: ops.append(
+            scalars._top(self) + scalars._top(RatFunc.const(other))) or op(self, other))
     for text in (f"(u+1)^{scalars.MAX_EXPONENT + 1}", "u^-8000", "(u+1)^800 + 1",
-                 "((u+1)^16)^64", "(u^-300)^2", "(2*u^2/(u-1))^300"):
+                 "((u+1)^16)^64", "(u^-300)^2", "(2*u^2/(u-1))^300",
+                 "(u+1)^512*(u+1)^512", "(u+1)^256*(u+1)^256*(u+1)^256*(u+1)^256",
+                 "1/(u+1)^300 + 1/(u+2)^300", "u^300/u^213", "u^-300 - u^213"):
         with pytest.raises(ValueError, match=rf"budget of \^{scalars.MAX_EXPONENT}$") as exc:
             parse_ratfunc(text)
         assert "\n" not in str(exc.value)
-    assert {abs(e) for e in powers} == {16, 300, 2}  # the inner powers alone
+    # the inner powers and the operands within the budget alone are built
+    assert {abs(e) for e in powers} == {16, 300, 2, 512, 256, 213}
+    assert max(ops) == scalars.MAX_EXPONENT
     assert parse_ratfunc(f"u^-{scalars.MAX_EXPONENT}") == U ** -scalars.MAX_EXPONENT
+    assert parse_ratfunc("u^300*u^212 - 1") == U ** 512 - 1
+    # a sum of polynomials does not cross-multiply: its budget is the larger
+    # of the operands' exponents
+    assert parse_ratfunc("u^300 + u^213") == U ** 300 + U ** 213
 
 
 def test_rendered_invariant_values_parse_back():
