@@ -359,14 +359,6 @@ def basis_walk(elem: AlgebraElement) -> Iterator[tuple[BasisWord, AlgebraElement
 # generators and named elements
 # ---------------------------------------------------------------------------
 
-# The generator images below are built once per process and shared, which is
-# safe because AlgebraElement is immutable.  256 per builder is enough:
-# tier-1 builds at most 136 images of one builder and quotient_grid 6;
-# map_to_algebra builds none, so invariant_mix builds none.
-_image_cache = functools.lru_cache(maxsize=256)
-
-
-@_image_cache
 def gen_g(d: int, n: int, i: int) -> AlgebraElement:
     """The braiding generator g_i."""
     if not 1 <= i <= n - 1:
@@ -374,7 +366,6 @@ def gen_g(d: int, n: int, i: int) -> AlgebraElement:
     return AlgebraElement.from_word(d, n, (0,) * n, perms.transposition(n, i))
 
 
-@_image_cache
 def gen_t(d: int, n: int, j: int, k: int = 1) -> AlgebraElement:
     """The framing generator t_j^k (exponent reduced mod d)."""
     if not 1 <= j <= n:
@@ -384,7 +375,6 @@ def gen_t(d: int, n: int, j: int, k: int = 1) -> AlgebraElement:
     return AlgebraElement.from_word(d, n, tuple(frm), perms.identity(n))
 
 
-@_image_cache
 def idempotent_e(d: int, n: int, i: int) -> AlgebraElement:
     """e_i = (1/d) sum_s t_i^s t_{i+1}^{d-s}."""
     if not 1 <= i <= n - 1:
@@ -399,7 +389,6 @@ def idempotent_e(d: int, n: int, i: int) -> AlgebraElement:
     return AlgebraElement(d, n, out, d)
 
 
-@_image_cache
 def inverse_g(d: int, n: int, i: int) -> AlgebraElement:
     """g_i^{-1} = g_i + (u^{-1} - 1) e_i + (u^{-1} - 1) e_i g_i."""
     g = gen_g(d, n, i)
@@ -408,7 +397,6 @@ def inverse_g(d: int, n: int, i: int) -> AlgebraElement:
     return g + (e + e * g).scale(c)
 
 
-@_image_cache
 def p_elem(d: int, n: int, i: int) -> AlgebraElement:
     """p_i = e_i (1 + g_i), the image of the singular generator tau_i."""
     e = idempotent_e(d, n, i)

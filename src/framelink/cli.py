@@ -123,8 +123,8 @@ def _add_braid_opts(sub):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors print one line, in the form of
-    main()'s other errors, and leave through SystemExit(2) as argparse's own
-    do; its subparsers are of this class too."""
+    main()'s other errors, and leave parse_args through SystemExit(2) as
+    argparse's own do; its subparsers are of this class too."""
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
@@ -422,7 +422,12 @@ def _run_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit status; a usage error, --help and
+    --version return theirs too, with no SystemExit."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     # argparse before Python 3.12 takes the value of "--braid=--" for the
     # "--" separator and stores [] instead of a string
     for dest, value in vars(args).items():

@@ -27,7 +27,7 @@ in u, and in z and x, over one integer denominator), and ``laurent_ratfunc``
 is the one way from that kernel to a ``RatFunc``, built already normalized
 (over a monomial, or over a polynomial that the caller vouches for).
 ``RatFunc`` arithmetic runs where a division happens: lambda_D itself, the
-z and x values that a ``Tracer`` substitutes, the one witness value a
+z and x values substituted into a trace value, the one witness value a
 failing quotient check prints, parsing and ``HalfPowerValue``.  The quotient
 layer decides without it: its one zero test reduces integer polynomials
 in u and zeta_M modulo Phi_M by ``_reduce``, and its elimination
@@ -53,12 +53,15 @@ layer's content gcd; and ``RatFunc.const`` is the one coercion to ``RatFunc``.
 ``parse_ratfunc`` reads back what ``RatFunc.render`` emits (and a bit
 more: whitespace, explicit ``+``/``-`` chains, ``zeta<m>`` tokens with
 m <= ``MAX_ZETA``) while the top exponents of a numerator and denominator,
-and of each monomial's variables, add up to at most ``MAX_EXPONENT``.
+and of each monomial's variables, add up to at most ``MAX_EXPONENT``.  One
+parse's powers of multi-term bases may add at most ``MAX_EXPONENT`` to the
+degree in all; a rendered value raises no multi-term base to a power.
 """
 from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -997,35 +1000,24 @@ class HalfPowerValue:
 
 
 # The largest exponent a parsed operation may build, over 4x the u^122 of
-# the Jones value of s1^82; (u+1)^512 takes ~0.4 s, and ~4x more per
-# doubling, so (u+1)^512*(u+1)^512 is refused after ~0.8 s.
+# the Jones value of s1^82, and the most degree that one parse's powers of
+# multi-term bases may add in all; (u+1)^512 takes ~0.4 s, and ~4x more per
+# doubling, so (u+1)^512*(u+1)^512, or a sum of copies of ((u+1)^512*0),
+# is refused after its first power, ~0.4 s.
 MAX_EXPONENT = 512
+
+
+# One scalar token: an int, a name (u, z, x1, zeta12, ...) or an operator;
+# whitespace between tokens is skipped, and any other character is refused.
+_SCALAR_TOKEN = re.compile(r"(\d+|[^\W\d]\w*|[-+*/^()])|(\S)")
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r} in scalar expression")
+    for tok, bad in _SCALAR_TOKEN.findall(text):
+        if bad:
+            raise ValueError(f"unexpected character {bad!r} in scalar expression")
+        tokens.append(tok)
     return tokens
 
 
@@ -1044,6 +1036,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.built = 0  # degree added by the powers of multi-term bases so far
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -1091,6 +1084,10 @@ class _Parser:
                 raise ValueError(f"expected integer exponent, got {tok!r}")
             e = int(tok)
             _bounded(e * max(1, _top(base)))
+            if len(base.num.terms) > 1 or len(base.den.terms) > 1:
+                # a power of a monomial is cheap; this one adds (e - 1) top(base)
+                self.built += max(e - 1, 0) * _top(base)
+                _bounded(self.built)
             return base ** (-e if neg else e)
         return base
 

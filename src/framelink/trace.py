@@ -17,18 +17,18 @@ exercised directly by the test suite rather than trusted silently.
 The structural reduction of a word is independent of the z and x values,
 so it is cached globally per (d, framings, permutation); a z-step holds the
 product A B in the algebra's integer kernel, Laurent coefficients over a
-denominator that is a power of d.  ``Tracer(d, xs, z)`` is the one
+denominator that is a power of d.  ``Tracer(d, xs)`` is the one
 evaluator, and it stays in that kernel too: a word's value, memoized per
 word, is a dict {(z exponent, x exponents, u exponent): int} over a power
 of d, with z and x formal; an x strip adds 1 to its exponent, or drops
 the branch or leaves it as it is when that x is the number 0 or 1.
 ``Tracer.trace`` sums c_w tr(w) and returns it over its denominator, as
-the invariants and the quotient scans read it; other numeric x (an int,
-Fraction, Cyclotomic or constant RatFunc) are multiplied in once, at the
-end, c z^j x^k u^e becoming c prod x_m^(k_m) under (j, (), e).
-``Tracer.value`` alone builds a RatFunc, with a given z and x that are
-not all numbers substituted.  One ``trace`` call may make at most
-MAX_TRACE_PRODUCTS coefficient products, or is refused.
+the invariants and the quotient scans read it; numeric x (an int,
+Fraction or Cyclotomic) are multiplied in once, at the end, c z^j x^k u^e
+becoming c prod x_m^(k_m) under (j, (), e).  ``Tracer.value`` alone
+builds a RatFunc, z formal; specialising it is a ring map, so a caller
+substitutes a z, or x in Q(u), into it.  One ``trace`` call may make at
+most MAX_TRACE_PRODUCTS coefficient products, or is refused.
 """
 from __future__ import annotations
 
@@ -84,31 +84,25 @@ def _strip(d: int, frm: tuple, perm: tuple) -> tuple:
 class Tracer:
     """The trace on Y_{d,n}(u) at one parameter set, memoizing per word.
 
-    xs lists x_1..x_{d-1} (x_0 = 1 always): an int, Fraction or Cyclotomic
-    is taken as it is, anything else as a scalar convertible to RatFunc;
-    None keeps them formal, and z stays formal unless given.
+    xs lists x_1..x_{d-1} (x_0 = 1 always) as numbers, each an int,
+    Fraction or Cyclotomic, or is None to keep them formal; z is formal.
     """
 
-    __slots__ = ("d", "_x", "_subs", "_unit", "_memo", "_work")
+    __slots__ = ("d", "_x", "_unit", "_memo", "_work")
 
-    def __init__(self, d: int, xs=None, z=None):
+    def __init__(self, d: int, xs=None):
         if d < 1:
             raise ValueError("d must be >= 1")
-        subs = {} if z is None else {"z": RatFunc.const(z)}
         if xs is not None:
-            xs = [v if type(v) in _NUMBERS else RatFunc.const(v) for v in xs]
             if len(xs) != d - 1:
                 raise ValueError(f"need x_1..x_{d - 1}, got {len(xs)} values")
-            if any(type(v) is RatFunc and v.variables() for v in xs):
-                subs.update((f"x{m}", RatFunc.const(v)) for m, v in enumerate(xs, start=1))
-                xs = None
-            else:  # an integral value as an int
-                xs = [v.num.constant_value() if type(v) is RatFunc else v for v in xs]
-                xs = tuple(int(v) if type(v) is Fraction and v.denominator == 1 else v
-                           for v in xs)
+            if any(type(v) not in _NUMBERS for v in xs):
+                raise TypeError("an x must be an int, Fraction or Cyclotomic")
+            # an integral value as an int
+            xs = tuple(int(v) if type(v) is Fraction and v.denominator == 1 else v
+                       for v in xs)
         self.d = d
         self._x = xs
-        self._subs = subs
         self._unit = (1, {(0, (0,) * (d - 1), 0): 1})
         self._memo: dict[tuple, tuple[int, dict]] = {}
         self._work = 0
@@ -177,7 +171,6 @@ class Tracer:
         return top * e.den, value
 
     def value(self, e: AlgebraElement) -> RatFunc:
-        """tr(e) as a RatFunc, with the given z and x substituted."""
+        """tr(e) as a RatFunc: the kernel value of ``trace``, z formal."""
         den, terms = self.trace(e)
-        out = laurent_ratfunc(terms, den)
-        return out.substitute(self._subs) if self._subs else out
+        return laurent_ratfunc(terms, den)

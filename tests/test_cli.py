@@ -431,9 +431,7 @@ def test_batch_checks_the_subset_before_the_file(tmp_path, capsys, content):
     ["batch", "--file", "f"],
 ], ids=lambda argv: argv[0])
 def test_each_subcommand_names_its_runner(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([argv[0], "--help"])
-    assert exc.value.code == 0
+    assert main([argv[0], "--help"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: framelink {argv[0]} ")
     assert callable(build_parser().parse_args(argv).run)
 
@@ -524,10 +522,10 @@ def test_trace_budget_passes_five_strands(capsys):
     assert code == 0 and err == "" and out.endswith("all checks passed\n")
 
 
-def test_missing_argument_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["jones"])
-    assert exc.value.code == 2
+def test_missing_argument_exits_2(capsys):
+    assert main(["jones"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
 
 
 # -- seeded fuzz at the command line ---------------------------------------------
@@ -616,17 +614,6 @@ def _substitution_route(record):
     return formal.value.substitute({"z": zval})
 
 
-def _run_or_exit(capsys, argv):
-    """(exit status, stdout, stderr) of main(argv); a usage error leaves main
-    through SystemExit, as argparse's own errors do."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 def test_seeded_cli_fuzz(tmp_path, capsys):
     # random and malformed words, subsets and moduli end with exit 0, 1 or 2
     # and no traceback; exit 2 is one line on stderr, and every --json Jones
@@ -640,7 +627,7 @@ def test_seeded_cli_fuzz(tmp_path, capsys):
              ["compare", "--braid-a", "s1"], ["verify", "--what"], ["nosuch"], []]
     codes, checked = [], 0
     for argv in fixed + [_fuzz_argv(rng, tmp_path) for _ in range(400)]:
-        code, out, err = _run_or_exit(capsys, argv)
+        code, out, err = run(capsys, *argv)
         codes.append(code)
         assert code in (0, 1, 2) and "Traceback" not in err, argv
         if code == 2:
@@ -667,7 +654,7 @@ def test_seeded_cli_fuzz_other_commands(capsys):
     rng = random.Random(1503)
     codes = {}
     for argv in [_fuzz_other_argv(rng) for _ in range(80)]:
-        code, out, err = _run_or_exit(capsys, argv)
+        code, out, err = run(capsys, *argv)
         codes.setdefault(argv[0], []).append(code)
         assert code in ((0, 1, 2) if argv[0] == "compare" else (0, 2)), argv
         assert "Traceback" not in err, argv

@@ -299,7 +299,7 @@ def _cached_functions() -> dict:
 def test_constant_caches_are_bounded():
     cached = _cached_functions()
     assert {"cli.build_parser", "perms.reduced_word", "scalars._var_rank",
-            "quotients._power_table", "algebra.gen_g"} <= set(cached)
+            "quotients._power_table", "algebra._word_product"} <= set(cached)
     for name, function in cached.items():
         assert function.cache_info().maxsize is not None, name
 

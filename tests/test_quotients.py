@@ -2,6 +2,7 @@
 and the inclusion chain of the three defining ideals."""
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -12,8 +13,10 @@ import pytest
 from framelink import quotients, scalars
 from framelink.algebra import (
     AlgebraElement,
+    _anti,
     _bump,
     _lmul,
+    _times_letter,
     gen_g,
     gen_t,
     idempotent_e,
@@ -303,15 +306,15 @@ def _ctl_by_traced_sums(check):
     """(u+1) z^2 sum_k x_k + (u+2) z sum_k tr(e_1^{(k)}) + sum_k tr(e_1^{(k)} e_2)
     = 0, each e_1^{(k)} = t_1^k e_1 traced on 3 strands."""
     d, z = check.d, check.zval
-    tracer = Tracer(d, check.xs)
+    tracer, subs = Tracer(d), check.substitution()
     xs = (RatFunc.const(1),) + check.xs
     e1, e2 = idempotent_e(d, 3, 1), idempotent_e(d, 3, 2)
     sum_x = sum_e = sum_ee = RatFunc.const(0)
     for k in range(d):
         ek = gen_t(d, 3, 1, k) * e1
         sum_x = sum_x + xs[k]
-        sum_e = sum_e + tracer.value(ek)
-        sum_ee = sum_ee + tracer.value(ek * e2)
+        sum_e = sum_e + tracer.value(ek).substitute(subs)
+        sum_ee = sum_ee + tracer.value(ek * e2).substitute(subs)
     return ((U + 1) * z * z * sum_x + (U + 2) * z * sum_e + sum_ee).is_zero()
 
 
@@ -466,14 +469,14 @@ def test_deep_pairs_spot_check_d3():
     check = QuotientCheck("ftl", 3, Fraction(-1, 2), tuple(sol.x[1:]))
     assert trace_vanishes_on_ideal(check)
     gen = quotient_generator("ftl", 3, 3, 1)
-    tracer = Tracer(3, check.xs, check.zval)
+    tracer, subs = Tracer(3), check.substitution()
     words = list(split_basis(3, 3))
     rng = random.Random(17)
     for frm_a, perm_a in rng.sample(words, 6):
         frm_b, perm_b = rng.choice(words)
         a = AlgebraElement.from_word(3, 3, frm_a, perm_a)
         b = AlgebraElement.from_word(3, 3, frm_b, perm_b)
-        assert tracer.value(a * gen * b).is_zero()
+        assert tracer.value(a * gen * b).substitute(subs).is_zero()
 
 
 def test_witness_pair_is_genuine():
@@ -486,10 +489,9 @@ def test_witness_pair_is_genuine():
     assert verdict is False
     (frm_a, perm_a), (frm_b, perm_b), _ = witness
     gen = quotient_generator("ytl", 2, 3, 1)
-    tracer = Tracer(2, check.xs, check.zval)
     a = AlgebraElement.from_word(2, 3, frm_a, perm_a)
     b = AlgebraElement.from_word(2, 3, frm_b, perm_b)
-    assert not tracer.value(a * gen * b).is_zero()
+    assert not Tracer(2).value(a * gen * b).substitute(check.substitution()).is_zero()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d={d}")
@@ -541,10 +543,10 @@ def _literal_scan(check):
     """((a, b, value) or None) from tr(gen . c) over every split-basis word c
     in order, traced under the check's own parameters."""
     gen = quotient_generator(check.kind, check.d, 3, 1)
-    tracer = Tracer(check.d, check.xs, check.zval)
+    tracer, subs = Tracer(check.d), check.substitution()
     unit_word = ((0,) * 3, (1, 2, 3))
     for frm, perm in split_basis(check.d, 3):
-        val = tracer.value(gen * AlgebraElement.from_word(check.d, 3, frm, perm))
+        val = tracer.value(gen * AlgebraElement.from_word(check.d, 3, frm, perm)).substitute(subs)
         if not val.is_zero():
             return unit_word, (frm, perm), val
     return None
@@ -913,6 +915,81 @@ def test_chain_at_d3():
     assert ideal_inclusion(r, g, 3)
     assert ideal_inclusion(c, r, 3)
     assert not ideal_inclusion(g, r, 3)
+
+
+def _ideal_rank(gen: AlgebraElement) -> int:
+    """Rank of the two-sided ideal of gen in Y_{d,3}(u): the closure of
+    ideal_inclusion, by the same letter steps, with no early exit."""
+    d = gen.d
+    letters = [("s", i, 1) for i in (1, 2)] + [("t", j, 1) for j in (1, 2, 3) if d > 1]
+    span, queue = _Span(), []
+
+    def insert(terms):
+        if span.insert(terms) is not None:
+            queue.append(terms)
+
+    insert(gen.terms)
+    for r in queue:  # grows while it is read
+        for letter in letters:
+            insert(_anti(_times_letter(_anti(r), 1, d, letter)[0]))
+            insert(_times_letter(r, 1, d, letter)[0])
+    return len(span.rows)
+
+
+def _partitions(k: int, most: int) -> list:
+    """Partitions of k with parts at most most, as non-increasing tuples."""
+    if k == 0:
+        return [()]
+    return [(first,) + rest for first in range(min(k, most), 0, -1)
+            for rest in _partitions(k - first, first)]
+
+
+def _tableaux(shape: tuple) -> int:
+    """Standard Young tableaux of a shape, by the hook length formula."""
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= row - j + sum(1 for below in shape[i + 1:] if below > j)
+    return math.factorial(sum(shape)) // hooks
+
+
+def _multipartition_dims(d: int, n: int) -> list:
+    """(multipartition, dimension of its simple module) over the
+    d-multipartitions of n: n! / prod |p|! times prod f^p, f^p the
+    standard tableaux of the component p."""
+    out = []
+    for sizes in itertools.product(range(n + 1), repeat=d):
+        if sum(sizes) == n:
+            for mp in itertools.product(*(_partitions(k, k) for k in sizes)):
+                dim = math.factorial(n)
+                for p in mp:
+                    dim = dim // math.factorial(sum(p)) * _tableaux(p)
+                out.append((mp, dim))
+    return out
+
+
+# Which simple modules of Y_{d,n} survive in each quotient, as found from
+# the closures below (not a cited theorem): those whose Young diagrams have
+# at most two rows in total for YTL, in every component for FTL, and in one
+# fixed component for CTL (by symmetry any one gives the same count).
+_SURVIVES = {"ytl": lambda mp: sum(map(len, mp)) <= 2,
+             "ftl": lambda mp: all(len(p) <= 2 for p in mp),
+             "ctl": lambda mp: len(mp[0]) <= 2}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quotient_dimensions_match_the_multipartition_count(d):
+    # d^3 3! minus the rank of each closed ideal is the dimension of the
+    # quotient, and it equals the sum of dim^2 over the surviving simple
+    # modules, a count that reads no algebra code
+    dims = _multipartition_dims(d, 3)
+    assert sum(dim * dim for _, dim in dims) == d ** 3 * 6
+    counts = {kind: sum(dim * dim for mp, dim in dims if _SURVIVES[kind](mp)) for kind in KINDS}
+    assert counts == {1: {"ytl": 5, "ftl": 5, "ctl": 5},
+                      2: {"ytl": 28, "ftl": 46, "ctl": 47},
+                      3: {"ytl": 69, "ftl": 159, "ctl": 161}}[d]
+    for kind in KINDS:
+        assert d ** 3 * 6 - _ideal_rank(quotient_generator(kind, d, 3, 1)) == counts[kind], kind
 
 
 def _is_primitive(row):

@@ -481,7 +481,9 @@ def test_exponents_have_a_budget(monkeypatch):
     # refused with one line before a power past the budget is built, also a
     # power of a parenthesised power, and so is a product, quotient or sum
     # whose operands' largest exponents add up past it (a sum with a
-    # denominator cross-multiplies); the budget itself parses
+    # denominator cross-multiplies), and a parse whose powers of multi-term
+    # bases add more than the budget to the degree in all; the budget itself
+    # parses
     powers, ops = [], []
     pow_, mul, add = RatFunc.__pow__, RatFunc.__mul__, RatFunc.__add__
     monkeypatch.setattr(RatFunc, "__pow__", lambda self, e: powers.append(e) or pow_(self, e))
@@ -491,7 +493,8 @@ def test_exponents_have_a_budget(monkeypatch):
     for text in (f"(u+1)^{scalars.MAX_EXPONENT + 1}", "u^-8000", "(u+1)^800 + 1",
                  "((u+1)^16)^64", "(u^-300)^2", "(2*u^2/(u-1))^300",
                  "(u+1)^512*(u+1)^512", "(u+1)^256*(u+1)^256*(u+1)^256*(u+1)^256",
-                 "1/(u+1)^300 + 1/(u+2)^300", "u^300/u^213", "u^-300 - u^213"):
+                 "1/(u+1)^300 + 1/(u+2)^300", "u^300/u^213", "u^-300 - u^213",
+                 " + ".join(["((u+1)^512*0)"] * 3), " + ".join(["((u+1)^512*0)"] * 6)):
         with pytest.raises(ValueError, match=rf"budget of \^{scalars.MAX_EXPONENT}$") as exc:
             parse_ratfunc(text)
         assert "\n" not in str(exc.value)
@@ -503,6 +506,9 @@ def test_exponents_have_a_budget(monkeypatch):
     # a sum of polynomials does not cross-multiply: its budget is the larger
     # of the operands' exponents
     assert parse_ratfunc("u^300 + u^213") == U ** 300 + U ** 213
+    # (e - 1) top(base) per power: 255 + 255 and 1 + 510 are within the total
+    for text in ("(u+1)^256*(u+1)^256", "((u+1)^2)^256"):
+        assert scalars._top(parse_ratfunc(text)) == scalars.MAX_EXPONENT
 
 
 def test_rendered_invariant_values_parse_back():
