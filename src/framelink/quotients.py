@@ -85,7 +85,10 @@ whole two-sided ideal because words in those generators span Y_{d,n}(u).
 Each product is one letter step on a term dict: r w by _times_letter, and
 w r = iota(iota(r) w) through the anti-involution iota of algebra._anti,
 so no full algebra product is built.  The certificate forms w c the same
-way.
+way.  The span is kept per (generator, d) and grown only as far as a
+query needs: a repeated query is one reduce, and one the kept span cannot
+answer resumes the closure where the last one paused.  A growth cut short
+by an exception is dropped, not kept half done.
 """
 from __future__ import annotations
 
@@ -569,42 +572,75 @@ class _Span:
         return min(vec)
 
 
+def _canonical(terms: dict) -> tuple:
+    """An element's terms as a hashable key: (word, ((u exponent, int), ...))
+    pairs in word order."""
+    return tuple(sorted((w, tuple(sorted(c.items()))) for w, c in terms.items()))
+
+
+# One entry per (generator, d): quotient_grid fills 3 (the YTL and FTL
+# generators at d = 2 and the one of all three kinds at d = 1) and tier-1 13
+# in one process.  A closed ideal holds 20 / 2 / 1 rows at d = 2 (YTL / FTL /
+# CTL, < 0.05 MB each) and the YTL one 93 rows at d = 3 (~0.3 MB); 64 is over
+# 4x the largest count, and an evicted ideal is only grown again.
+@functools.lru_cache(maxsize=64)
+def _ideal(gen: tuple, d: int) -> tuple:
+    """(span, growth) for the two-sided ideal of the element whose terms are
+    gen (_canonical): the _Span as it stands, and the _grow that extends it."""
+    span = _Span()
+    return span, _grow(span, {w: dict(c) for w, c in gen}, d)
+
+
+def _grow(span: _Span, gen: dict, d: int):
+    """Close span under multiplication by the generators on both sides,
+    pausing after each rank increase.
+
+    gen is inserted, each term dict that adds rank is queued, and w r and
+    r w are inserted for each queued r and each generator w among g_1, g_2,
+    t_1..t_3 (the t_j only when d > 1).  r w is one letter step
+    (_times_letter) and w r = iota(iota(r) w) (algebra._anti), so no full
+    product is built.  Words in those generators span Y_{d,3}(u), so the
+    closed span is the whole two-sided ideal."""
+    letters = [("s", i, 1) for i in range(1, _N)]
+    if d > 1:
+        letters += [("t", j, 1) for j in range(1, _N + 1)]
+    queue: list[dict] = []
+    if span.insert(gen) is not None:
+        queue.append(gen)
+        yield
+    for r in queue:  # grows while it is read
+        flipped = _anti(r)
+        for letter in letters:
+            for prod in (_anti(_times_letter(flipped, 1, d, letter)[0]),
+                         _times_letter(r, 1, d, letter)[0]):
+                if span.insert(prod) is not None:
+                    queue.append(prod)
+                    yield
+
+
 def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int) -> bool:
     """Is genA in the two-sided ideal span{a genB b : a, b split-basis words}?
 
-    Built by closure in a _Span whose columns are basis words: from genB on,
-    each element's integer Laurent terms are inserted (a den is a nonzero
-    scalar, so none is kept), each term dict that adds rank is queued, and
-    w r and r w are inserted for each queued r and each generator w among
-    g_1, g_2, t_1..t_3 (the t_j only when d > 1).  r w is one letter step
-    (_times_letter) and w r = iota(iota(r) w) (algebra._anti), so no full
-    product is built.  The span is then closed under both-sided
-    multiplication by the generators, whose words span Y_{d,3}(u).  genA is
-    reduced after every rank increase, so membership exits early.
+    The ideal is a _Span whose columns are basis words, kept per (terms of
+    genB, d) and grown on demand (_ideal, _grow); a den is a nonzero scalar,
+    so it is not part of the key.  genA is reduced against the span as it
+    stands, and the span grows, one rank at a time, only while genA is not
+    in it; False means the ideal is closed without genA.  A growth cut
+    short by an exception cannot resume, and the products it had yet to
+    insert would be lost, so it drops every kept ideal.
     """
     check_modulus(d)
     if genA.d != d or genB.d != d or genA.n != _N or genB.n != _N:
         raise ValueError("generators must live in the stated algebra")
-    letters = [("s", i, 1) for i in range(1, _N)]
-    if d > 1:
-        letters += [("t", j, 1) for j in range(1, _N + 1)]
-    span = _Span()
-    target = genA.terms
-    queue: list[dict] = []
-
-    def insert(terms: dict) -> bool:
-        nonlocal target
-        if span.insert(terms) is not None:
-            queue.append(terms)
-            target = span.reduce(target)
-        return not target
-
-    if not target or insert(genB.terms):
-        return True
-    for r in queue:  # grows while it is read
-        flipped = _anti(r)
-        for letter in letters:
-            if (insert(_anti(_times_letter(flipped, 1, d, letter)[0]))
-                    or insert(_times_letter(r, 1, d, letter)[0])):
-                return True
-    return False
+    span, growth = _ideal(_canonical(genB.terms), d)
+    target = span.reduce(genA.terms)
+    while target:
+        try:
+            next(growth)
+        except StopIteration:
+            return False
+        except BaseException:
+            _ideal.cache_clear()
+            raise
+        target = span.reduce(target)
+    return True

@@ -13,10 +13,8 @@ import pytest
 from framelink import quotients, scalars
 from framelink.algebra import (
     AlgebraElement,
-    _anti,
     _bump,
     _lmul,
-    _times_letter,
     gen_g,
     gen_t,
     idempotent_e,
@@ -36,10 +34,12 @@ from framelink.quotients import (
     QuotientCheck,
     _KERNEL_ONE,
     _Span,
+    _canonical,
     _conjugation_certificate,
     _content_free,
     _deep_scan,
     _generic_scan,
+    _ideal,
     _kernel_mul,
     _same_trace,
     _primitive,
@@ -827,6 +827,58 @@ def test_inclusion_verdicts_of_every_generator_pair(d):
     assert got == _INCLUSION_VERDICTS[d]
 
 
+def test_warm_cold_and_shuffled_inclusions_agree():
+    # each ideal is kept and grown only as far as a query needs, so a verdict
+    # must not depend on what was asked before it
+    rng = random.Random(4311)
+    want = {(d, a, b): v for d in (1, 2) for (a, b), v in _INCLUSION_VERDICTS[d].items()}
+    for cold in (False, True):
+        for _ in range(2):
+            order = list(want)
+            rng.shuffle(order)
+            got = {}
+            for d, a, b in order:
+                if cold:
+                    _ideal.cache_clear()
+                got[d, a, b] = ideal_inclusion(quotient_generator(a, d, 3, 1),
+                                               quotient_generator(b, d, 3, 1), d)
+            assert got == want, cold
+
+
+def test_inclusion_keys_the_ideal_on_the_terms_of_its_generator():
+    _ideal.cache_clear()
+    g, r = quotient_generator("ytl", 2, 3, 1), quotient_generator("ftl", 2, 3, 1)
+    assert ideal_inclusion(r, g, 2)
+    # a rebuilt generator and the same terms over another den share its ideal
+    assert ideal_inclusion(r, quotient_generator("ytl", 2, 3, 1), 2)
+    assert ideal_inclusion(r, AlgebraElement(2, 3, g.terms, 5 * g.den), 2)
+    info = _ideal.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    zero = AlgebraElement.zero(2, 3)  # its ideal is {0}
+    assert not ideal_inclusion(r, zero, 2)
+    assert ideal_inclusion(zero, zero, 2)
+
+
+def test_a_growth_cut_short_keeps_no_partial_ideal(monkeypatch):
+    # an interrupt inside a letter step leaves a row whose products were
+    # never queued; an ideal kept in that state would answer False for good
+    _ideal.cache_clear()
+    gens = {k: quotient_generator(k, 2, 3, 1) for k in KINDS}
+    step, calls = quotients._times_letter, itertools.count(1)
+
+    def interrupted(*args):
+        if next(calls) == 3:
+            raise KeyboardInterrupt
+        return step(*args)
+
+    monkeypatch.setattr(quotients, "_times_letter", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        ideal_inclusion(gens["ftl"], gens["ytl"], 2)
+    monkeypatch.undo()
+    got = {(a, b): ideal_inclusion(gens[a], gens[b], 2) for a in KINDS for b in KINDS}
+    assert got == _INCLUSION_VERDICTS[2]
+
+
 class _Rows:
     """Row reduction over Q(u), apart from quotients._Span: rows are kept
     in insertion order, each free of the pivots of the rows before it."""
@@ -917,25 +969,6 @@ def test_chain_at_d3():
     assert not ideal_inclusion(g, r, 3)
 
 
-def _ideal_rank(gen: AlgebraElement) -> int:
-    """Rank of the two-sided ideal of gen in Y_{d,3}(u): the closure of
-    ideal_inclusion, by the same letter steps, with no early exit."""
-    d = gen.d
-    letters = [("s", i, 1) for i in (1, 2)] + [("t", j, 1) for j in (1, 2, 3) if d > 1]
-    span, queue = _Span(), []
-
-    def insert(terms):
-        if span.insert(terms) is not None:
-            queue.append(terms)
-
-    insert(gen.terms)
-    for r in queue:  # grows while it is read
-        for letter in letters:
-            insert(_anti(_times_letter(_anti(r), 1, d, letter)[0]))
-            insert(_times_letter(r, 1, d, letter)[0])
-    return len(span.rows)
-
-
 def _partitions(k: int, most: int) -> list:
     """Partitions of k with parts at most most, as non-increasing tuples."""
     if k == 0:
@@ -989,7 +1022,11 @@ def test_quotient_dimensions_match_the_multipartition_count(d):
                       2: {"ytl": 28, "ftl": 46, "ctl": 47},
                       3: {"ytl": 69, "ftl": 159, "ctl": 161}}[d]
     for kind in KINDS:
-        assert d ** 3 * 6 - _ideal_rank(quotient_generator(kind, d, 3, 1)) == counts[kind], kind
+        gen = quotient_generator(kind, d, 3, 1)
+        # the unit is in no proper ideal, so this grows the ideal to its end
+        assert not ideal_inclusion(AlgebraElement.unit(d, 3), gen, d)
+        rank = len(_ideal(_canonical(gen.terms), d)[0].rows)
+        assert d ** 3 * 6 - rank == counts[kind], kind
 
 
 def _is_primitive(row):
@@ -1148,15 +1185,19 @@ def test_integer_content_gcd_matches_the_fraction_euclid():
 
 
 def test_inclusion_rejects_mismatched_algebra():
+    _ideal.cache_clear()
     with pytest.raises(ValueError):
         ideal_inclusion(quotient_generator("ytl", 1, 3, 1),
                         quotient_generator("ytl", 2, 3, 1), 2)
+    assert _ideal.cache_info().currsize == 0  # a refused call keeps no ideal
 
 
 def test_inclusion_runs_on_three_strands():
     # the closure has no strand count to pass; 4-strand generators are refused
+    _ideal.cache_clear()
     g4 = quotient_generator("ytl", 1, 4, 1)
     with pytest.raises(ValueError):
         ideal_inclusion(g4, g4, 1)
     with pytest.raises(TypeError):
         ideal_inclusion(g4, g4, 1, n=4)
+    assert _ideal.cache_info().currsize == 0
