@@ -439,8 +439,7 @@ def map_to_algebra(b: braids.BraidWord, d: int) -> AlgebraElement:
     t_j^k -> t_j^{k mod d}, tau_i -> p_i, applied one letter at a time from
     the unit on.  The image terms of all the steps count against
     MAX_IMAGE_TERMS."""
-    unit = AlgebraElement.unit(d, b.n)
-    terms, den, spent = unit.terms, unit.den, 0
+    terms, den, spent = {((0,) * b.n, perms.identity(b.n)): _ONE}, 1, 0
     for letter in b.letters:
         terms, den = _times_letter(terms, den, d, letter)
         spent += len(terms)

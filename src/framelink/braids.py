@@ -30,23 +30,15 @@ SINGULAR = "singular"
 
 
 def sigma(i: int, sign: int = 1) -> Letter:
-    if sign not in (1, -1):
-        raise ValueError("sigma sign must be +1 or -1")
-    if i < 1:
-        raise ValueError("sigma index must be >= 1")
-    return ("s", i, sign)
+    return _checked([("s", i, sign)])[0]
 
 
 def framing(j: int, k: int = 1) -> Letter:
-    if j < 1:
-        raise ValueError("framing index must be >= 1")
-    return ("t", j, k)
+    return _checked([("t", j, k)])[0]
 
 
 def tau(i: int) -> Letter:
-    if i < 1:
-        raise ValueError("tau index must be >= 1")
-    return ("x", i)
+    return _checked([("x", i)])[0]
 
 
 def _checked(letters: Iterable[Letter]) -> tuple[Letter, ...]:

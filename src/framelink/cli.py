@@ -236,8 +236,7 @@ def _value_record(args, command: str, braid_text: str) -> tuple[str, dict]:
     D = _parse_subset(args.subset)
     b = parse_braid(braid_text)
     text = b.render()
-    check_modulus(args.d)
-    D = tuple(sorted(k % args.d for k in D))  # "1,0" and "0,1" share one record
+    D = build_solution(args.d, D).D  # "1,0" and "0,1" share one record
     key = _cache_key(command, args.family, args.d, D, text)
     record = cache_get(args.cache, key) if args.cache else None
     if record is None:

@@ -6,7 +6,8 @@ E = E^{(0)}.  Every solution is the average of a character set,
 x_m = (1/|D|) sum_{k in D} zeta_d^{km}, and conversely.  By Fourier
 inversion x is the solution of D exactly when its transform
 y_k = sum_m x_m zeta_d^{-km} is (d/|D|) 1_D, so D is the support of y and
-distinct subsets give distinct x.
+distinct subsets give distinct x.  ``build_solution`` builds x as the
+inverse transform of (d/|D|) 1_D and checks it against the E-system.
 """
 from __future__ import annotations
 
@@ -16,18 +17,19 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .scalars import Cyclotomic, RatFunc
+from .scalars import Cyclotomic, RatFunc, _as_coeff
 
 
 def _lift(values: Sequence) -> list:
-    """Coerce a mixed vector into a single arithmetic domain.
+    """Coerce a mixed vector into a single exact domain.
 
     Any RatFunc entry promotes the whole vector to RatFunc; otherwise
-    entries live in the cyclotomic field, rationals as Fractions.
+    entries live in the cyclotomic field by ``_as_coeff``, rationals as
+    Fractions, and any other type, a float or a str, is refused with TypeError.
     """
     if any(isinstance(v, RatFunc) for v in values):
         return [RatFunc.const(v) for v in values]
-    return [v if isinstance(v, Cyclotomic) else Fraction(v) for v in values]
+    return [_as_coeff(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,11 @@ def check_modulus(d: int) -> None:
 
 
 def build_solution(d: int, D) -> ESolution:
-    """The solution of D, built and checked once per (d, sorted D mod d)."""
+    """The solution of D, int residues, built and checked once per (d, sorted D mod d)."""
     check_modulus(d)
+    for k in D:
+        if type(k) is not int:
+            raise ValueError(f"subset residues must be ints, got {k!r}")
     subset = tuple(sorted(k % d for k in D))
     if not subset:
         raise ValueError("subset must be non-empty")
@@ -73,14 +78,9 @@ def build_solution(d: int, D) -> ESolution:
 # 512 holds all 502 subsets of every d <= MAX_ENUMERATE_D = 8.
 @functools.lru_cache(maxsize=512)
 def _solution(d: int, subset: tuple[int, ...]) -> ESolution:
-    inv = Fraction(1, len(subset))
-    x = []
-    for m in range(d):
-        acc = Fraction(0)
-        for k in subset:
-            acc = acc + Cyclotomic.root_of_unity(d, (k * m) % d)
-        x.append(acc * inv)
-    sol = ESolution(d, subset, tuple(x))
+    scale = Fraction(d, len(subset))
+    sol = ESolution(d, subset, inverse_fourier([scale if k in subset else 0
+                                                for k in range(d)]))
     bad = [r for r in esystem_residual(sol.x) if r != 0]
     if bad:
         raise AssertionError(f"subset average failed the E-system: {bad}")
@@ -124,16 +124,11 @@ def enumerate_solutions(d: int) -> list[ESolution]:
 
 
 def _dft(values: Sequence, sign: int) -> list:
-    """sum_m v_m zeta_d^{sign k m} for k = 0..d-1, in the domain of the values."""
-    d = len(values)
-    vals = _lift(values)
-    out = []
-    for k in range(d):
-        acc = vals[0] * 0
-        for m in range(d):
-            acc = acc + vals[m] * Cyclotomic.root_of_unity(d, (sign * k * m) % d)
-        out.append(acc)
-    return out
+    """sum_m v_m zeta_d^{sign k m} for k < d, in the values' domain; skips v_m = 0."""
+    d, vals = len(values), _lift(values)
+    zero, terms = vals[0] * 0, [(m, v) for m, v in enumerate(vals) if v != 0]
+    return [sum((v * Cyclotomic.root_of_unity(d, (sign * k * m) % d) for m, v in terms), zero)
+            for k in range(d)]
 
 
 def fourier_transform(x: Sequence) -> FourierData:

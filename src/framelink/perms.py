@@ -21,9 +21,7 @@ def transposition(n: int, i: int) -> Perm:
     """The simple transposition s_i = (i, i+1) in S_n, 1 <= i <= n-1."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"s_{i} does not exist in S_{n}")
-    p = list(range(1, n + 1))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
+    return right_mul_s(identity(n), i)
 
 
 def inverse(p: Perm) -> Perm:

@@ -39,13 +39,15 @@ identity test.  ``Cyclotomic`` and ``Poly`` arithmetic builds its results
 through ``_make``, which trusts its input but keeps the canonical form: no
 stored zero ``Poly`` coefficient, and a ``Fraction`` for a value with zero
 irrational part.  The public constructors validate outside input before
-they call it; ``_as_coeff`` turns an ``int`` coefficient into a ``Fraction``
-and refuses any other type, floats included.
+they call it; ``_rational`` turns an ``int`` coefficient into a ``Fraction``
+and refuses any other type, a float, str or bool among them, for the
+``Cyclotomic`` constructor and, through ``_as_coeff``, for ``Poly``.
 
 One power routine, ``_power``, serves every type (algebra elements too);
 one reduction modulo Phi_m, ``_reduce``, serves every ``Cyclotomic`` and
-the quotient layer's zero test; one Euclid on dense coefficient lists,
-``_uni_divmod``, serves ``Cyclotomic.inverse`` and the univariate gcd;
+the quotient layer's zero test; on dense coefficient lists, ``_uni_mul`` is
+the one product and ``_uni_divmod`` the one Euclid (``Cyclotomic.inverse``
+and the univariate gcd);
 Z[x] has one exact division, ``_zx_divexact``, which builds the cyclotomic
 polynomials (their coefficients are ints) and divides out the quotient
 layer's content gcd; and ``RatFunc.const`` is the one coercion to ``RatFunc``.
@@ -198,7 +200,7 @@ class Cyclotomic:
     __slots__ = ("m", "c")
 
     def __new__(cls, m: int, coeffs: Iterable[Fraction]):
-        coeffs = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
+        coeffs = tuple(map(_rational, coeffs))
         deg = len(cyclotomic_polynomial(m)) - 1
         if len(coeffs) != deg:
             raise ValueError(f"conductor {m} needs {deg} coefficients, got {len(coeffs)}")
@@ -272,13 +274,7 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         m, ca, cb = self._pair(other)
-        prod = [Fraction(0)] * (2 * len(ca) - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclotomic._make(m, tuple(_reduce(m, prod)))
+        return Cyclotomic._make(m, tuple(_reduce(m, _uni_mul(ca, cb))))
 
     __rmul__ = __mul__
 
@@ -350,13 +346,20 @@ class Cyclotomic:
 Coeff = Union[Fraction, Cyclotomic]
 
 
+def _rational(c) -> Fraction:
+    """A rational coefficient from public input: a Fraction, or an int as one."""
+    if type(c) is Fraction:
+        return c
+    if type(c) is int:
+        return Fraction(c)
+    raise TypeError(f"cannot use {c!r} as an exact coefficient")
+
+
 def _as_coeff(c) -> Coeff:
-    """A Poly coefficient from public input: an int becomes a Fraction."""
+    """A Poly coefficient from public input: a Cyclotomic, or by ``_rational``."""
     if type(c) is Fraction or type(c) is Cyclotomic:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"cannot use {c!r} as an exact polynomial coefficient")
+    return _rational(c)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,11 @@ def test_letter_constructors():
         sigma(0)
     with pytest.raises(ValueError):
         sigma(1, 2)
+    # the constructors follow BraidWord's letter rule: int fields, no bool
+    for make in (lambda: sigma(1.5), lambda: sigma(True), lambda: framing(1, 0.5),
+                 lambda: tau(2.0)):
+        with pytest.raises(ValueError, match="malformed braid letter"):
+            make()
 
 
 def test_embed():

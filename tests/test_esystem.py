@@ -39,6 +39,23 @@ def test_subset_normalization():
         build_solution(3, ())
     with pytest.raises(ValueError):
         build_solution(3, (1, 4))
+    # a residue is an int, as a strand count is, so bool is refused too
+    for D in ((1.0,), ("1",), (True,)):
+        with pytest.raises(ValueError, match="subset residues must be ints"):
+            build_solution(2, D)
+
+
+def test_solutions_are_subset_averages():
+    # the solution is built as an inverse transform; this checks it against
+    # the average of the characters of D, summed here from roots of unity,
+    # so a sign slip in the transform cannot pass unseen
+    for d in range(1, 7):
+        for sol in enumerate_solutions(d):
+            for m in range(d):
+                acc = Fraction(0)
+                for k in sol.D:
+                    acc = acc + Cyclotomic.root_of_unity(d, k * m)
+                assert sol.x[m] == acc / len(sol.D)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

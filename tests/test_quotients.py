@@ -38,12 +38,12 @@ from framelink.quotients import (
     _conjugation_certificate,
     _content_free,
     _deep_scan,
+    _first_failure,
     _generic_scan,
     _ideal,
     _kernel_mul,
     _same_trace,
     _primitive,
-    _scan,
     _vanishes,
     _zx_gcd,
     admissible,
@@ -485,9 +485,12 @@ def test_witness_pair_is_genuine():
     from framelink.trace import Tracer
 
     check = QuotientCheck("ytl", 2, -1, (5,))
-    verdict, witness = _scan(check)
-    assert verdict is False
-    (frm_a, perm_a), (frm_b, perm_b), _ = witness
+    report = quotient_report(check)
+    assert report["verdict"] is False
+    frm_a, perm_a = (0, 0, 0), (1, 2, 3)  # the unit word
+    (frm_b, perm_b), _ = _first_failure(check)
+    assert report["witness"]["a"] == word_render(frm_a, perm_a)
+    assert report["witness"]["b"] == word_render(frm_b, perm_b)
     gen = quotient_generator("ytl", 2, 3, 1)
     a = AlgebraElement.from_word(2, 3, frm_a, perm_a)
     b = AlgebraElement.from_word(2, 3, frm_b, perm_b)
@@ -599,9 +602,13 @@ def test_basis_scan_matches_the_literal_scan(d, kinds):
     for kind in kinds:
         verdicts = set()
         for check in _seeded_points(rng, kind, d):
-            verdict, witness = _scan(check)
-            assert witness == _literal_scan(check)
-            assert verdict is (witness is None)
+            report, witness = quotient_report(check), _literal_scan(check)
+            verdict = report["verdict"]
+            if witness is not None:
+                (fa, pa), (fb, pb), val = witness
+                assert report["witness"] == {"a": word_render(fa, pa), "b": word_render(fb, pb),
+                                             "value": val.render()}
+            assert verdict is (witness is None) is ("witness" not in report)
             assert admissible(check) is verdict
             if d == 1 or (d == 2 and not verdict):
                 assert (_deep_scan(check) is None) is verdict

@@ -22,6 +22,7 @@ from framelink.scalars import (
     _uni_divmod,
     _uni_poly_gcd,
 )
+from framelink.esystem import esystem_residual, fourier_transform, inverse_fourier
 from framelink.invariants import lambda_d
 
 
@@ -439,6 +440,13 @@ def test_inexact_coefficients_are_refused():
         Poly({(): 0.5})
     with pytest.raises(TypeError):
         RatFunc.const(0.5)
+    # one rule, one message, for every public entry that takes a coefficient
+    for coeffs in ([0.5, 0.25], ["1/2", True], [1, True]):
+        with pytest.raises(TypeError, match="as an exact coefficient"):
+            Cyclotomic(3, coeffs)
+    for entry in (esystem_residual, fourier_transform, inverse_fourier):
+        with pytest.raises(TypeError, match="cannot use 0.5 as an exact coefficient"):
+            entry((1, 0.5))
 
 
 def _coefficients(f: RatFunc):
