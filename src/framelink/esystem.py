@@ -54,7 +54,9 @@ MAX_MODULUS = 32  # verify --what relations --d 32 takes ~1.1 s (2 vCPU)
 
 
 def check_modulus(d: int) -> None:
-    """Z/dZ needs d >= 1, and d stays within the budget MAX_MODULUS."""
+    """Z/dZ needs an int d >= 1 (not a bool), within the budget MAX_MODULUS."""
+    if type(d) is not int:
+        raise ValueError(f"modulus d must be an int, got {d!r}")
     if d < 1:
         raise ValueError(f"modulus d must be >= 1, got {d}")
     if d > MAX_MODULUS:
@@ -127,8 +129,8 @@ def _dft(values: Sequence, sign: int) -> list:
     """sum_m v_m zeta_d^{sign k m} for k < d, in the values' domain; skips v_m = 0."""
     d, vals = len(values), _lift(values)
     zero, terms = vals[0] * 0, [(m, v) for m, v in enumerate(vals) if v != 0]
-    return [sum((v * Cyclotomic.root_of_unity(d, (sign * k * m) % d) for m, v in terms), zero)
-            for k in range(d)]
+    roots = [Cyclotomic.root_of_unity(d, j) for j in range(d)]
+    return [sum((v * roots[sign * k * m % d] for m, v in terms), zero) for k in range(d)]
 
 
 def fourier_transform(x: Sequence) -> FourierData:

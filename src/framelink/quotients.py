@@ -12,25 +12,27 @@ closed-form characterization of the passing parameter sets; admissible()
 evaluates that closed form, trace_vanishes_on_ideal() evaluates the ideal
 criterion, and the two must agree.  The ideal criterion runs at n = 3.
 
-The YTL and FTL closed forms read the subset D off the Fourier transform
-y_k = sum_m x_m zeta_d^{-km} of (1, x_1..x_{d-1}): x is the E-system
-solution of D exactly when y = (d/|D|) 1_D.  YTL passes when y has that
-shape with |D| <= 2 and z is -1/(u+1) or -1 for |D| = 1, -1/2 for
-|D| = 2.  FTL passes when every nonzero y_k is -dz or -dz(u+1), with
-z = -1/(|D_1| + (u+1)|D_2|) for the two blocks D_1, D_2 of the support.
-All three closed forms read the check's integer form (below), with no
-RatFunc built: with z = P / Q and x_m = X_m / S, S y_k =
-sum_m X_m w^(-k m M/d) is a sum of shifted integer polynomials, and each
-comparison is a polynomial identity, cross-multiplied and given to the
-zero test: y_k == -dz is Y_k Q + d S P == 0, z == -1/(u+1) is
-(u+1) P + Q == 0.  An x rational in u takes the same path, with S a
-polynomial.
+The three closed forms are one rule on the Fourier transform
+y_k = sum_m x_m zeta_d^{-km} of (1, x_1..x_{d-1}): y_k has level 0 when
+y_k = 0, 1 when y_k = -dz, 2 when y_k = -dz(u+1), else none.  With n1, n2
+the counts of levels 1 and 2, FTL passes when every y_k has a level and
+z = -1/(n1 + (u+1) n2); YTL when also n1 + 2 n2 <= 2, the pairs (1, 0),
+(0, 1), (2, 0) of z = -1, -1/(u+1) at y = d 1_D and z = -1/2 at
+y = (d/2) 1_D, that is at the E-system solution of D, |D| <= 2; CTL when
+y_0 has a level (below).  So YTL => FTL => CTL by construction, as the
+defining ideals nest.  The levels are read off the check's integer form
+(below), with no RatFunc built: with z = P / Q and x_m = X_m / S,
+S y_k = sum_m X_m w^(-k m M/d) is a sum of shifted integer polynomials,
+and each comparison is a polynomial identity given to the zero test:
+y_k == -dz is Y_k Q + d S P == 0.  An x rational in u takes the same
+path, with S a polynomial.
 
 CTL passes when (u+1) z^2 sum_k x_k + (u+2) z sum_k tr(e_1^{(k)})
 + sum_k tr(e_1^{(k)} e_2) = 0, with e_1^{(k)} = t_1^k e_1.  These are
 traces of identity words, tr(t^a) = x_{a_1} x_{a_2} x_{a_3}, so the three
 sums are y_0, y_0^2/d and y_0^3/d^2 for y_0 = 1 + x_1 + ... + x_{d-1}, and
-the condition factors as y_0 (z + w)((u+1) z + w) = 0 with w = y_0/d.
+the condition factors as y_0 (z + w)((u+1) z + w) = 0 with w = y_0/d,
+that is y_0 = 0, -dz or -dz(u+1).
 
 The quadratic blow-up of the pair loop is avoided by three exact reductions,
 each verified rather than assumed, and by walking the basis:
@@ -105,6 +107,7 @@ from .algebra import (
     basis_walk,
     quotient_generator,
     split_basis,
+    word_render,
 )
 from .esystem import MAX_MODULUS, check_modulus
 from .scalars import (
@@ -351,7 +354,6 @@ def quotient_report(check: QuotientCheck) -> dict:
         "verdict": failure is None,
     }
     if failure is not None:
-        from .algebra import word_render
         (fb, pb), generic = failure
         out["witness"] = {"a": word_render((0,) * _N, tuple(range(1, _N + 1))),
                           "b": word_render(fb, pb),
@@ -394,61 +396,36 @@ def _fourier(check: QuotientCheck) -> tuple:
     return M, p, q, S, ys
 
 
-def _ytl_admissible(check: QuotientCheck) -> bool:
-    """y = (d/s) 1_D with s = |D| <= 2: s Y_k - d S is 0 on the support; and
-    z = -1/(u+1) or -1 for s = 1, -1/2 for s = 2: (u+1) P + Q, P + Q or
-    2 P + Q is 0."""
-    M, p, q, S, ys = _fourier(check)
-    ys = [y for y in ys if not _vanishes([(_ONE, y)], M)]
-    if len(ys) == 1:
-        zs = ([({0: 1, 1: 1}, p), (_ONE, q)], [(_ONE, p), (_ONE, q)])
-    elif len(ys) == 2:
-        zs = ([({0: 2}, p), (_ONE, q)],)
-    else:
-        return False
-    return (any(_vanishes(z, M) for z in zs)
-            and all(_vanishes([({0: len(ys)}, y), ({0: -check.d}, S)], M) for y in ys))
-
-
-def _ftl_admissible(check: QuotientCheck) -> bool:
-    """Every nonzero y_k is -dz or -dz(u+1): Y_k Q + d S P or
-    Y_k Q + d (u+1) S P is 0; and z = -1/(n1 + (u+1) n2) for the counts n1,
-    n2 of each: (n1 + n2 + n2 u) P + Q is 0."""
-    M, p, q, S, ys = _fourier(check)
-    d = check.d
-    sp = _kernel_mul(S, p, M)
-    n1 = n2 = 0
-    # the support is never empty (sum_k y_k = d), and the two values are
-    # distinct for z != 0; for z = 0 no nonzero y_k takes either
-    for y in ys:
-        if _vanishes([(_ONE, y)], M):
-            continue
-        yq = _kernel_mul(y, q, M)
-        if _vanishes([(_ONE, yq), ({0: d}, sp)], M):
-            n1 += 1
-        elif _vanishes([(_ONE, yq), ({0: d, 1: d}, sp)], M):
-            n2 += 1
-        else:
-            return False
-    return _vanishes([({0: n1 + n2, 1: n2}, p), (_ONE, q)], M)
-
-
-def _ctl_admissible(check: QuotientCheck) -> bool:
-    """y_0 (z + w)((u+1) z + w) = 0 with w = y_0/d: Y_0, d S P + Y_0 Q or
-    d S (u+1) P + Y_0 Q is 0."""
-    M, p, q, S, (y0, *_) = _fourier(check)
-    d = check.d
-    if _vanishes([(_ONE, y0)], M):
-        return True
-    sp, yq = _kernel_mul(S, p, M), _kernel_mul(y0, q, M)
-    return (_vanishes([({0: d}, sp), (_ONE, yq)], M)
-            or _vanishes([({0: d, 1: d}, sp), (_ONE, yq)], M))
+def _level(y: dict, q: dict, sp: dict, d: int, M: int):
+    """The level of y_k from y = Y_k and sp = S P: 0 if Y_k = 0, 1 if
+    Y_k Q + d S P = 0, 2 if Y_k Q + d (u+1) S P = 0, else None.  At z = 0 a
+    nonzero y_k has no level; at z != 0 levels 1 and 2 exclude each other."""
+    if _vanishes([(_ONE, y)], M):
+        return 0
+    yq = _kernel_mul(y, q, M)
+    for level, a in ((1, {0: d}), (2, {0: d, 1: d})):
+        if _vanishes([(_ONE, yq), (a, sp)], M):
+            return level
+    return None
 
 
 def admissible(check: QuotientCheck) -> bool:
-    """Evaluate the closed-form passing condition for check.kind."""
-    return {"ytl": _ytl_admissible, "ftl": _ftl_admissible,
-            "ctl": _ctl_admissible}[check.kind](check)
+    """The closed-form passing condition for check.kind, read off the levels
+    of y_0..y_{d-1} (_level), with n1 and n2 the counts of levels 1 and 2:
+    CTL passes when y_0 has a level; FTL when every y_k has one and
+    z = -1/(n1 + (u+1) n2), that is (n1 + n2 + n2 u) P + Q = 0; YTL when
+    FTL passes and n1 + 2 n2 <= 2."""
+    M, p, q, S, ys = _fourier(check)
+    sp = _kernel_mul(S, p, M)
+    counts = [0, 0, 0]
+    for y in ys[:1] if check.kind == "ctl" else ys:
+        level = _level(y, q, sp, check.d, M)
+        if level is None:
+            return False
+        counts[level] += 1
+    _, n1, n2 = counts
+    return check.kind == "ctl" or ((check.kind == "ftl" or n1 + 2 * n2 <= 2)
+                                   and _vanishes([({0: n1 + n2, 1: n2}, p), (_ONE, q)], M))
 
 
 # -- exact elimination ---------------------------------------------------------

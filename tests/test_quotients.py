@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from framelink.algebra import (
     split_basis,
     word_render,
 )
+from framelink.braids import parse_braid
 from framelink.esystem import (
     MAX_MODULUS,
     build_solution,
@@ -29,6 +31,7 @@ from framelink.esystem import (
     fourier_transform,
     inverse_fourier,
 )
+from framelink.invariants import InvariantRequest, invariant
 from framelink.quotients import (
     KINDS,
     QuotientCheck,
@@ -101,6 +104,18 @@ def test_rejects_moduli_outside_the_budget():
         unit = AlgebraElement.unit(max(d, 1), 3)
         with pytest.raises(ValueError, match=msg):
             ideal_inclusion(unit, unit, d)
+    # a d that is not an int is refused by the same gate, with one line,
+    # wherever it enters: True is not taken as 1, nor 2.0 or "2" as 2
+    unit = AlgebraElement.unit(2, 3)
+    for d in (2.0, True, "2"):
+        msg = rf"^modulus d must be an int, got {re.escape(repr(d))}$"
+        for call in (lambda: QuotientCheck("ytl", d, -1, (0,)),
+                     lambda: ideal_inclusion(unit, unit, d),
+                     lambda: build_solution(d, (0,)),
+                     lambda: enumerate_solutions(d),
+                     lambda: invariant(InvariantRequest(parse_braid("s1 t1"), "framed", d, (0,)))):
+            with pytest.raises(ValueError, match=msg):
+                call()
 
 
 def test_rejects_conductors_outside_the_budget(monkeypatch):
@@ -411,13 +426,15 @@ def _differential_xs(rng, d):
 
 def _differential_zs(rng, kind, d, xs):
     """Every z of the passing family of kind (for CTL the two roots at these
-    x, for FTL one per block split), then seeded rational, rational-in-u and
+    x, for FTL one per block split, and for YTL those of FTL too, which it
+    must refuse past n1 + 2 n2 = 2), then seeded rational, rational-in-u and
     cyclotomic z."""
+    ftl = [RatFunc.const(-1) / (n1 + (U + 1) * n2)
+           for n1 in range(d + 1) for n2 in range(d + 1 - n1) if n1 + n2]
     if kind == "ytl":
-        zs = [Z_TL, RatFunc.const(-1), RatFunc.const(-HALF)]
+        zs = [Z_TL, RatFunc.const(-1), RatFunc.const(-HALF)] + ftl
     elif kind == "ftl":
-        zs = [RatFunc.const(-1) / (n1 + (U + 1) * n2)
-              for n1 in range(d + 1) for n2 in range(d + 1 - n1) if n1 + n2]
+        zs = ftl
     else:
         w = (1 + sum(xs, start=RatFunc.const(0))) * Fraction(1, d)
         zs = [-w, -w / (U + 1)]
@@ -441,6 +458,23 @@ def test_closed_forms_match_the_ratfunc_comparisons(d):
                 assert verdict is _REF_ADMISSIBLE[kind](check), (kind, z, xs)
                 verdicts[kind].add(verdict)
     assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+def test_closed_forms_pass_down_the_chain():
+    # the closed-form mirror of test_chain_inclusions: the YTL ideal holds the
+    # FTL ideal and that one the CTL ideal, so a pass of YTL is one of FTL
+    # and a pass of FTL one of CTL, at every point of the differential sets
+    patterns = set()
+    for d in (1, 2, 3, 4):
+        rng = random.Random(6100 + d)
+        for xs in _differential_xs(rng, d):
+            for z in [z for kind in KINDS for z in _differential_zs(rng, kind, d, xs)]:
+                ytl, ftl, ctl = (admissible(QuotientCheck(kind, d, z, xs)) for kind in KINDS)
+                assert ftl or not ytl, (d, z, xs)
+                assert ctl or not ftl, (d, z, xs)
+                patterns.add((ytl, ftl, ctl))
+    assert patterns == {(True, True, True), (False, True, True),
+                        (False, False, True), (False, False, False)}
 
 
 # -- deep double loop validates the reduction --------------------------------
