@@ -57,6 +57,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import braids, perms
+from .esystem import check_modulus
 from .scalars import Poly, RatFunc, U, _power, laurent_ratfunc
 
 BasisWord = tuple[tuple[int, ...], perms.Perm]  # (framings, permutation)
@@ -195,8 +196,9 @@ class AlgebraElement:
 
     def __init__(self, d: int, n: int, terms: dict[BasisWord, Laurent] | None = None,
                  den: int = 1):
-        if d < 1 or n < 1:
-            raise ValueError("need d >= 1 and n >= 1")
+        check_modulus(d)
+        if n < 1:
+            raise ValueError("need n >= 1")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", {w: c for w, c in (terms or {}).items() if c})
@@ -217,6 +219,7 @@ class AlgebraElement:
 
     @staticmethod
     def from_word(d: int, n: int, framings, perm, coeff=1) -> "AlgebraElement":
+        check_modulus(d)  # before the framings are reduced mod d
         framings = tuple(a % d for a in framings)
         perm = tuple(perm)
         if len(framings) != n or len(perm) != n:
@@ -439,6 +442,7 @@ def map_to_algebra(b: braids.BraidWord, d: int) -> AlgebraElement:
     t_j^k -> t_j^{k mod d}, tau_i -> p_i, applied one letter at a time from
     the unit on.  The image terms of all the steps count against
     MAX_IMAGE_TERMS."""
+    check_modulus(d)
     terms, den, spent = {((0,) * b.n, perms.identity(b.n)): _ONE}, 1, 0
     for letter in b.letters:
         terms, den = _times_letter(terms, den, d, letter)

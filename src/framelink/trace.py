@@ -36,6 +36,7 @@ import math
 from fractions import Fraction
 
 from .algebra import AlgebraElement, _word_product
+from .esystem import check_modulus
 from .scalars import Cyclotomic, RatFunc, laurent_ratfunc
 
 _NUMBERS = (int, Fraction, Cyclotomic)
@@ -91,8 +92,7 @@ class Tracer:
     __slots__ = ("d", "_x", "_unit", "_memo", "_work")
 
     def __init__(self, d: int, xs=None):
-        if d < 1:
-            raise ValueError("d must be >= 1")
+        check_modulus(d)
         if xs is not None:
             if len(xs) != d - 1:
                 raise ValueError(f"need x_1..x_{d - 1}, got {len(xs)} values")

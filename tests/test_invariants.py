@@ -293,13 +293,16 @@ def _cached_functions() -> dict:
     return found
 
 
-# Every cache that outlives a request has a bound.  quotients._power_table,
-# the one keyed on parameter values, fills 196 keys in tier-1 and at most
-# 218 in quotient_grid (warm-up + 3,000 requests, seeds 911-913) of its 1,024.
+# Every cache that outlives a request has a bound.  Two are keyed on
+# parameter values: quotients._power_table fills 196 keys in tier-1 and at
+# most 218 in quotient_grid (warm-up + 3,000 requests, seeds 911-913) of its
+# 1,024, and quotients._family 197 keys in tier-1 and 33 in quotient_grid
+# (warm-up + 70,000 requests, seed 911) of its 1,024.
 def test_constant_caches_are_bounded():
     cached = _cached_functions()
     assert {"cli.build_parser", "perms.reduced_word", "scalars._var_rank",
-            "quotients._power_table", "algebra._word_product"} <= set(cached)
+            "quotients._power_table", "quotients._family",
+            "algebra._word_product"} <= set(cached)
     for name, function in cached.items():
         assert function.cache_info().maxsize is not None, name
 

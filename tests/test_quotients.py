@@ -19,6 +19,7 @@ from framelink.algebra import (
     gen_g,
     gen_t,
     idempotent_e,
+    map_to_algebra,
     quotient_generator,
     split_basis,
     word_render,
@@ -98,22 +99,28 @@ def test_rejects_wrong_xs_length():
 def test_rejects_moduli_outside_the_budget():
     # d = 33 would run the certificate over 33^3 3! words; it is refused at
     # once, with the message of every other d, and so is d = 0
+    unit, word = AlgebraElement.unit(2, 3), parse_braid("s1 t1")
     for d, msg in ((0, "d must be >= 1"), (MAX_MODULUS + 1, f"budget of d <= {MAX_MODULUS}")):
-        with pytest.raises(ValueError, match=msg):
-            QuotientCheck("ytl", d, -1, (0,) * (d - 1))
-        unit = AlgebraElement.unit(max(d, 1), 3)
-        with pytest.raises(ValueError, match=msg):
-            ideal_inclusion(unit, unit, d)
+        for call in (lambda: QuotientCheck("ytl", d, -1, (0,) * (d - 1)),
+                     lambda: ideal_inclusion(unit, unit, d),
+                     lambda: AlgebraElement.unit(d, 3),
+                     lambda: map_to_algebra(word, d),
+                     lambda: Tracer(d)):
+            with pytest.raises(ValueError, match=msg):
+                call()
     # a d that is not an int is refused by the same gate, with one line,
     # wherever it enters: True is not taken as 1, nor 2.0 or "2" as 2
-    unit = AlgebraElement.unit(2, 3)
     for d in (2.0, True, "2"):
         msg = rf"^modulus d must be an int, got {re.escape(repr(d))}$"
         for call in (lambda: QuotientCheck("ytl", d, -1, (0,)),
                      lambda: ideal_inclusion(unit, unit, d),
                      lambda: build_solution(d, (0,)),
                      lambda: enumerate_solutions(d),
-                     lambda: invariant(InvariantRequest(parse_braid("s1 t1"), "framed", d, (0,)))):
+                     lambda: invariant(InvariantRequest(word, "framed", d, (0,))),
+                     lambda: AlgebraElement.unit(d, 3),
+                     lambda: AlgebraElement(d, 3),
+                     lambda: map_to_algebra(word, d),
+                     lambda: Tracer(d)):
             with pytest.raises(ValueError, match=msg):
                 call()
 
@@ -475,6 +482,47 @@ def test_closed_forms_pass_down_the_chain():
                 patterns.add((ytl, ftl, ctl))
     assert patterns == {(True, True, True), (False, True, True),
                         (False, False, True), (False, False, False)}
+
+
+def _family_points(rng):
+    """Seeded checks of every kind at d <= 3, several z per x, over the x of
+    _differential_xs (rational in u among them); then each d = 3 solution x
+    with irrational entries and x', its coefficient vectors read at
+    conductor 6, so that x split at M = 3 equals x' split at M = 6.  Both
+    meet z rational and z carrying zeta6, which splits x at M = 6 too."""
+    for d in (1, 2, 3):
+        for xs in _differential_xs(rng, d):
+            for kind in KINDS:
+                for z in _differential_zs(rng, kind, d, xs):
+                    yield QuotientCheck(kind, d, z, xs)
+    zeta6 = Cyclotomic.root_of_unity(6)
+    for sol in enumerate_solutions(3):
+        if all(type(v) is Cyclotomic for v in sol.x[1:]):
+            for xs in (sol.x[1:], tuple(Cyclotomic(6, v.c) for v in sol.x[1:])):
+                for kind in KINDS:
+                    for z in (-1, Z_TL, -HALF, zeta6 - 1, -1 / (U + zeta6)):
+                        yield QuotientCheck(kind, 3, z, xs)
+
+
+def test_family_cache_is_transparent():
+    # the x part of the closed forms is kept per (d, M, split of x); each
+    # verdict is the same with the cache cleared before the check and warm,
+    # in either order of the checks, so a key that dropped M would show
+    checks = list(_family_points(random.Random(6200)))
+    cold = []
+    for check in checks:
+        quotients._family.cache_clear()
+        cold.append(admissible(check))
+    for order in (range(len(checks)), range(len(checks) - 1, -1, -1)):
+        quotients._family.cache_clear()
+        for i in order:
+            assert admissible(checks[i]) is cold[i], checks[i]
+        info = quotients._family.cache_info()
+        assert info.misses < len(checks) / 4 < info.hits
+    for kind in KINDS:
+        assert {v for c, v in zip(checks, cold) if c.kind == kind} == {True, False}
+    ms = {check.integer_form[0] for check, v in zip(checks, cold) if v and check.d == 3}
+    assert {3, 6} <= ms
 
 
 # -- deep double loop validates the reduction --------------------------------
