@@ -52,6 +52,11 @@ CACHE_ENV = "FRAMELINK_CACHE"
 # (2 vCPU, Python 3.11): quotients --d 3 takes ~0.5 s and --d 4 ~2 s, skein
 # --d 4 ~1.4 s, --d 5 ~6.4 s and --d 6 ~16 s.
 MAX_VERIFY_D = {"quotients": 3, "skein": 4}
+# The largest --samples of the suites that take it, whose cost grows with it
+# (2 vCPU, Python 3.11): markov --d 2 --samples 100 takes ~0.5 s, --d 8 ~3.8 s
+# and --d 2 --samples 1000 ~3.6 s; skein --d 4 --samples 3 ~1.7 s and
+# --samples 10 ~4.6 s.
+MAX_VERIFY_SAMPLES = {"markov": 100, "skein": 10}
 RELATION_NAMES = ("cubic", "cubic_factorization", "gipi", "quadratic_p",
                   "eta_relations", "bmw_quintic_factorization")
 
@@ -405,6 +410,10 @@ def _run_verify(args) -> int:
         if args.d > MAX_VERIFY_D.get(args.what, args.d):
             raise ValueError(f"verify --what {args.what} --d {args.d} exceeds the budget "
                              f"of --d <= {MAX_VERIFY_D[args.what]}")
+    cap = MAX_VERIFY_SAMPLES.get(args.what)
+    if args.samples is not None and cap is not None and args.samples > cap:
+        raise ValueError(f"verify --what {args.what} --samples {args.samples} exceeds the "
+                         f"budget of --samples <= {cap}")
     suite = {"relations": _verify_relations, "skein": _verify_skein,
              "markov": _verify_markov, "quotients": _verify_quotients}[args.what]
     failures = suite(args)

@@ -90,10 +90,8 @@ whole two-sided ideal because words in those generators span Y_{d,n}(u).
 Each product is one letter step on a term dict: r w by _times_letter, and
 w r = iota(iota(r) w) through the anti-involution iota of algebra._anti,
 so no full algebra product is built.  The certificate forms w c the same
-way.  The span is kept per (generator, d) and grown only as far as a
-query needs: a repeated query is one reduce, and one the kept span cannot
-answer resumes the closure where the last one paused.  A growth cut short
-by an exception is dropped, not kept half done.
+way.  The closed span is built once per (generator, d) and kept, so every
+later query is one reduce.
 """
 from __future__ import annotations
 
@@ -566,18 +564,12 @@ def _canonical(terms: dict) -> tuple:
 # generators at d = 2 and the one of all three kinds at d = 1) and tier-1 13
 # in one process.  A closed ideal holds 20 / 2 / 1 rows at d = 2 (YTL / FTL /
 # CTL, < 0.05 MB each) and the YTL one 93 rows at d = 3 (~0.3 MB); 64 is over
-# 4x the largest count, and an evicted ideal is only grown again.
+# 4x the largest count, and an evicted ideal is only built again.  A call
+# that raises keeps nothing, so no half-built ideal is ever kept.
 @functools.lru_cache(maxsize=64)
-def _ideal(gen: tuple, d: int) -> tuple:
-    """(span, growth) for the two-sided ideal of the element whose terms are
-    gen (_canonical): the _Span as it stands, and the _grow that extends it."""
-    span = _Span()
-    return span, _grow(span, {w: dict(c) for w, c in gen}, d)
-
-
-def _grow(span: _Span, gen: dict, d: int):
-    """Close span under multiplication by the generators on both sides,
-    pausing after each rank increase.
+def _ideal(gen: tuple, d: int) -> _Span:
+    """The closed _Span of the two-sided ideal of the element whose terms are
+    gen (_canonical).
 
     gen is inserted, each term dict that adds rank is queued, and w r and
     r w are inserted for each queued r and each generator w among g_1, g_2,
@@ -588,10 +580,8 @@ def _grow(span: _Span, gen: dict, d: int):
     letters = [("s", i, 1) for i in range(1, _N)]
     if d > 1:
         letters += [("t", j, 1) for j in range(1, _N + 1)]
-    queue: list[dict] = []
-    if span.insert(gen) is not None:
-        queue.append(gen)
-        yield
+    span, first = _Span(), {w: dict(c) for w, c in gen}
+    queue = [first] if span.insert(first) is not None else []
     for r in queue:  # grows while it is read
         flipped = _anti(r)
         for letter in letters:
@@ -599,32 +589,17 @@ def _grow(span: _Span, gen: dict, d: int):
                          _times_letter(r, 1, d, letter)[0]):
                 if span.insert(prod) is not None:
                     queue.append(prod)
-                    yield
+    return span
 
 
 def ideal_inclusion(genA: AlgebraElement, genB: AlgebraElement, d: int) -> bool:
     """Is genA in the two-sided ideal span{a genB b : a, b split-basis words}?
 
-    The ideal is a _Span whose columns are basis words, kept per (terms of
-    genB, d) and grown on demand (_ideal, _grow); a den is a nonzero scalar,
-    so it is not part of the key.  genA is reduced against the span as it
-    stands, and the span grows, one rank at a time, only while genA is not
-    in it; False means the ideal is closed without genA.  A growth cut
-    short by an exception cannot resume, and the products it had yet to
-    insert would be lost, so it drops every kept ideal.
+    The ideal is the closed _Span of _ideal, whose columns are basis words,
+    built once per (terms of genB, d); a den is a nonzero scalar, so it is
+    not part of the key.  genA is in the ideal when the span reduces it to 0.
     """
     check_modulus(d)
     if genA.d != d or genB.d != d or genA.n != _N or genB.n != _N:
         raise ValueError("generators must live in the stated algebra")
-    span, growth = _ideal(_canonical(genB.terms), d)
-    target = span.reduce(genA.terms)
-    while target:
-        try:
-            next(growth)
-        except StopIteration:
-            return False
-        except BaseException:
-            _ideal.cache_clear()
-            raise
-        target = span.reduce(target)
-    return True
+    return not _ideal(_canonical(genB.terms), d).reduce(genA.terms)

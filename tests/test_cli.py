@@ -12,7 +12,8 @@ import pytest
 
 from framelink import __version__, algebra, trace
 from framelink.braids import parse_braid
-from framelink.cli import MAX_VERIFY_D, _cache_key, build_parser, cache_get, cache_put, main
+from framelink.cli import (MAX_VERIFY_D, MAX_VERIFY_SAMPLES, _cache_key, build_parser,
+                           cache_get, cache_put, main)
 from framelink.esystem import MAX_MODULUS
 from framelink.invariants import MAX_LAMBDA_EXPONENT, InvariantRequest, homflypt, invariant
 from framelink.scalars import RatFunc, U, parse_ratfunc
@@ -400,9 +401,12 @@ def test_usage_errors(capsys):
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert "repeated residues" in err
     # verify sizes are checked before any work starts
+    assert MAX_VERIFY_SAMPLES == {"markov": 100, "skein": 10}
     for what, flag, value in (("markov", "--n", "1"), ("skein", "--n", "1"),
                               ("markov", "--samples", "0"),
                               ("skein", "--samples", "-3"),
+                              ("markov", "--samples", "101"),
+                              ("skein", "--samples", "11"),
                               ("relations", "--d", "0"),
                               ("quotients", "--d", "0")):
         code, out, err = run(capsys, "verify", "--what", what, flag, value)

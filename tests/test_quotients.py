@@ -917,8 +917,8 @@ def test_inclusion_verdicts_of_every_generator_pair(d):
 
 
 def test_warm_cold_and_shuffled_inclusions_agree():
-    # each ideal is kept and grown only as far as a query needs, so a verdict
-    # must not depend on what was asked before it
+    # each ideal is built once and kept, so a verdict must not depend on
+    # what was asked before it
     rng = random.Random(4311)
     want = {(d, a, b): v for d in (1, 2) for (a, b), v in _INCLUSION_VERDICTS[d].items()}
     for cold in (False, True):
@@ -1112,10 +1112,13 @@ def test_quotient_dimensions_match_the_multipartition_count(d):
                       3: {"ytl": 69, "ftl": 159, "ctl": 161}}[d]
     for kind in KINDS:
         gen = quotient_generator(kind, d, 3, 1)
-        # the unit is in no proper ideal, so this grows the ideal to its end
-        assert not ideal_inclusion(AlgebraElement.unit(d, 3), gen, d)
-        rank = len(_ideal(_canonical(gen.terms), d)[0].rows)
+        # the CTL generator lies in every ideal, so this query could stop
+        # early; the kept span must be the whole ideal all the same
+        assert ideal_inclusion(quotient_generator("ctl", d, 3, 1), gen, d)
+        rank = len(_ideal(_canonical(gen.terms), d).rows)
         assert d ** 3 * 6 - rank == counts[kind], kind
+        # the unit is in no proper ideal
+        assert not ideal_inclusion(AlgebraElement.unit(d, 3), gen, d)
 
 
 def _is_primitive(row):
